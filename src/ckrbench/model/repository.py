@@ -17,14 +17,13 @@ from ckrbench.model.axioms import Axiom
 from ckrbench.model.encoding import parse_axioms
 from ckrbench.namespaces import DEFAULT_VOCAB, NOMINAL_NS, CkrVocabulary
 from ckrbench.rdf.dataset import Dataset
-from ckrbench.rdf.terms import Term, term_key
+from ckrbench.rdf.terms import Term
 
 
 @dataclass(frozen=True)
 class KnowledgeModule:
     name: Term
     axioms: frozenset[Axiom]
-    source_graph: Term
 
 
 def is_meta_axiom(ax: Axiom, vocab: CkrVocabulary = DEFAULT_VOCAB) -> bool:
@@ -108,7 +107,6 @@ def assemble_repository(
         modules[name] = KnowledgeModule(
             name=name,
             axioms=frozenset(parse_axioms(dataset, name, warnings, vocab)),
-            source_graph=name,
         )
         if name not in referenced:
             warnings.append(f"module graph {name!r} is unreachable (no module link)")
@@ -120,7 +118,3 @@ def assemble_repository(
         modules=modules,
         warnings=warnings,
     )
-
-
-def sorted_terms(terms) -> list[Term]:
-    return sorted(terms, key=term_key)

@@ -108,15 +108,6 @@ class CkrVocabulary:
     def inference_graph(self, graph: Term) -> Term:
         return iri(graph.lexical + INFERENCE_SUFFIX)
 
-    def is_inference_graph(self, graph: Term) -> bool:
-        return graph.lexical.endswith(INFERENCE_SUFFIX)
-
-    def base_graph(self, graph: Term) -> Term:
-        """Inverse of :meth:`inference_graph` (identity on base graphs)."""
-        if self.is_inference_graph(graph):
-            return iri(graph.lexical[: -len(INFERENCE_SUFFIX)])
-        return graph
-
     def nominal_class(self, context: Term) -> Term:
         """Synthetic class standing for the singleton context set {context}.
 

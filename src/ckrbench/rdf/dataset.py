@@ -135,9 +135,6 @@ class Dataset:
             return self._by_p.get(p, ())
         return self._quads
 
-    def quads_sorted(self) -> list[Quad]:
-        return sorted(self._quads, key=_quad_key)
-
     def copy(self) -> "Dataset":
         d = Dataset()
         d.add_quads(self._quads)

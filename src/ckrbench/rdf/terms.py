@@ -94,9 +94,6 @@ class TermTable:
             self._terms.append(term)
         return tid
 
-    def lookup(self, term: Term) -> int | None:
-        return self._ids.get(term)
-
     def term(self, tid: int) -> Term:
         return self._terms[tid]
 

@@ -1,10 +1,19 @@
 """Staged closure: stages, propagation, eval chains, entailment checking."""
+import gc
+import time
+
 import pytest
 
 from ckrbench.engine.closure import check_entailment, compute_closure
 from ckrbench.engine.rules import REGIME_IDS, instantiate_ruleset
 from ckrbench.errors import InstanceQueryError, UnknownContextError
-from ckrbench.generator import build_ts2, target_concept, ts_individual
+from ckrbench.generator import (
+    build_ts1,
+    build_ts2,
+    generate_ckr,
+    target_concept,
+    ts_individual,
+)
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.repository import assemble_repository
@@ -191,6 +200,30 @@ def test_timeout_flag_and_suppressed_output():
     result = closure(build_ts2(20, 19, 10), budget=1)
     assert result.timed_out
     assert result.inference_quads == []
+
+
+def test_budget_stops_the_closure_close_to_its_deadline():
+    # ts1 1 context x 50 symbols under owl-local runs for minutes: one
+    # seed fact's join fans out far, so the budget must tick inside joins.
+    (params,) = [p for p in build_ts1() if p.label == "ts1-n1-c50"]
+    repo = assemble_repository(generate_ckr(params))
+    start = time.perf_counter()
+    result = compute_closure(repo, OWL_LOCAL, budget_millis=1_000)
+    assert result.timed_out
+    assert time.perf_counter() - start < 2.0
+
+
+def test_closure_leaves_no_reference_cycles():
+    repo = assemble_repository(build_ts2(5, 2, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        result = compute_closure(repo, OWL_LOCAL)
+        # all the closure's garbage was freed by reference counting
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert result.inferred_quad_count > 0
 
 
 def test_closed_dataset_reloads_and_recloses_to_zero():

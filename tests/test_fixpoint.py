@@ -4,7 +4,10 @@ Each deduction rule gets a micro fact base and the full expected derived
 set, computed by hand; the fixpoint runs with only the rules under test so
 the enumeration stays auditable.
 """
+import logging
 import random
+import re
+from collections import defaultdict
 
 import pytest
 
@@ -12,6 +15,7 @@ from ckrbench.engine.fixpoint import FactStore, compile_rules, run_fixpoint
 from ckrbench.engine.rules import loc_rules, rl_rules, subsumption_rules
 from ckrbench.namespaces import DEFAULT_VOCAB
 from ckrbench.rdf.terms import TermTable
+from oracle import _saturate
 from util import gen
 
 G = DEFAULT_VOCAB.global_graph
@@ -164,6 +168,14 @@ def test_inconsistency_rules_flag_only_their_context(name, base):
     assert ("unsat", c2) not in closed
 
 
+def test_repeated_variable_is_checked_in_a_driver_plan():
+    # Round 2's delta holds 21 T edges against one irrRole fact, so irr-role
+    # drives from irrRole and meets triple(x, T, x) as a probed step.
+    base = [("irrRole", T, c), ("subRole", R, T, c), ("triple", z, R, z, c)]
+    base += [("triple", gen(f"u{k}"), R, gen(f"w{k}"), c) for k in range(20)]
+    assert ("unsat", c) in close(base, ["irr-role", "sub-role"])
+
+
 def test_eval_rule_moves_membership_across_contexts():
     base = [
         ("subEval", A, C, B, c),
@@ -182,24 +194,66 @@ def test_eval_role_rule():
     assert close(base, ["eval-role"]) == set(base) | {("triple", x, S, y, c)}
 
 
-def test_rule_order_does_not_change_the_fixpoint():
-    base = [
-        ("subClass", A, B, c),
-        ("subClass", B, C, c),
-        ("subConj", B, C, D, c),
-        ("subRole", R, S, c),
-        ("invRole", S, T, c),
-        ("inst", x, A, c),
-        ("triple", x, R, y, c),
-        ("eq", x, y, c),
-        ("neq", x, y, c),
-    ]
+MICRO_BASE = [
+    ("subClass", A, B, c),
+    ("subClass", B, C, c),
+    ("subConj", B, C, D, c),
+    ("subRole", R, S, c),
+    ("invRole", S, T, c),
+    ("inst", x, A, c),
+    ("triple", x, R, y, c),
+    ("eq", x, y, c),
+    ("neq", x, y, c),
+]
+
+
+def data_heavy_base():
+    """The micro base under a few hundred more data facts: the data
+    relations outgrow the schema ones, so rules take driver plans."""
+    rng = random.Random(0)
+    people = [gen(f"i{k}") for k in range(40)]
+    base = set(MICRO_BASE)
+    while len(base) < 300:
+        u, v = rng.choice(people), rng.choice(people)
+        kind = rng.random()
+        if kind < 0.45:
+            base.add(("inst", u, rng.choice((A, B, C, D)), c))
+        elif kind < 0.98:
+            # a third of the edges sit in c2, where no schema applies
+            ctx = rng.choice((c, c, c2))
+            base.add(("triple", u, rng.choice((R, S, T)), v, ctx))
+        else:
+            base.add(("eq", u, v, c))
+    return sorted(base)
+
+
+def oracle_close(facts):
+    """The same facts closed by the naive oracle under every rule."""
+    by_rel = defaultdict(set)
+    for f in facts:
+        by_rel[f[0]].add(f[1:])
+    _saturate(by_rel, "owl", True, G)
+    return {(rel, *args) for rel, bucket in by_rel.items() for args in bucket}
+
+
+def test_rule_order_does_not_change_the_fixpoint(caplog):
     names = list(RULES)
-    reference = close(base, names)
-    for seed in range(4):
-        shuffled = names[:]
-        random.Random(seed).shuffle(shuffled)
-        assert close(base, shuffled) == reference
+    for base in (MICRO_BASE, data_heavy_base()):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ckrbench.engine.fixpoint"):
+            reference = close(base, names)
+        assert reference == oracle_close(base)
+        for seed in range(4):
+            shuffled = names[:]
+            random.Random(seed).shuffle(shuffled)
+            assert close(base, shuffled) == reference
+    # one DEBUG line per round; the data-heavy base drives from schema atoms
+    rounds = [
+        r.getMessage() for r in caplog.records if r.name == "ckrbench.engine.fixpoint"
+    ]
+    assert rounds[0].startswith("round 1: delta {")
+    driven = [int(re.search(r"(\d+) driver firings", m)[1]) for m in rounds]
+    assert sum(driven) > 0
 
 
 def test_range_restriction_enforced():
