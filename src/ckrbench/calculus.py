@@ -11,12 +11,9 @@ inconsistency marker.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from ckrbench.errors import InstanceQueryError, TranslationError
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import Axiom
-from ckrbench.model.repository import CkrRepository
 from ckrbench.namespaces import DEFAULT_VOCAB, CkrVocabulary
 from ckrbench.rdf.terms import Term
 
@@ -66,18 +63,6 @@ RELATION_ARITY: dict[str, int] = {
     SUBEVALR: 4,
     UNSAT: 1,
 }
-
-
-def fact(relation: str, *args: Term) -> Fact:
-    if len(args) != RELATION_ARITY[relation]:
-        raise ValueError(
-            f"{relation} expects {RELATION_ARITY[relation]} arguments, got {len(args)}"
-        )
-    return (relation, *args)
-
-
-def fact_context(f: Fact) -> Term:
-    return f[-1]
 
 
 # Shapes whose fact keeps the axiom argument order unchanged.
@@ -143,19 +128,6 @@ def translate_axiom(
     return translate_rl(axiom, ctx)
 
 
-def translate_glob(repo: CkrRepository) -> set[Fact]:
-    """Facts of the global knowledge base, in the global context.
-
-    Context declarations become ``inst(c, Ctx, g)`` and module links become
-    ``triple(c, mod, m, g)`` through the ordinary assertion translation.
-    """
-    g = repo.vocab.global_graph
-    facts: set[Fact] = set()
-    for axiom in repo.global_axioms:
-        facts |= translate_rl(axiom, g)
-    return facts
-
-
 def output_translation(axiom: Axiom, ctx: Term) -> Fact:
     """Instance-checking translation; defined for ABox assertions only."""
     if axiom.shape == ax.CONCEPT_ASSERT:
@@ -181,46 +153,3 @@ def fact_to_axiom(f: Fact) -> Axiom:
     if shape is None:
         raise TranslationError(f"{relation} facts have no RDF form")
     return Axiom(shape, args)
-
-
-class FactBase:
-    """Term-level fact container with per-relation lookup."""
-
-    def __init__(self, facts: Iterable[Fact] = ()) -> None:
-        self._by_relation: dict[str, set[Fact]] = {}
-        self._size = 0
-        for f in facts:
-            self.add(f)
-
-    def add(self, f: Fact) -> bool:
-        bucket = self._by_relation.setdefault(f[0], set())
-        if f in bucket:
-            return False
-        bucket.add(f)
-        self._size += 1
-        return True
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, f: Fact) -> bool:
-        return f in self._by_relation.get(f[0], ())
-
-    def __iter__(self) -> Iterator[Fact]:
-        for bucket in self._by_relation.values():
-            yield from bucket
-
-    def relation(self, relation: str) -> frozenset:
-        return frozenset(self._by_relation.get(relation, ()))
-
-    def match(self, relation: str, *pattern: Term | None) -> list[Fact]:
-        """Facts of a relation whose arguments unify with the pattern
-        (``None`` is a wildcard over one argument incl. the context)."""
-        out = []
-        for f in self._by_relation.get(relation, ()):
-            if all(p is None or p == v for p, v in zip(pattern, f[1:])):
-                out.append(f)
-        return out
-
-    def as_set(self) -> frozenset:
-        return frozenset(self)

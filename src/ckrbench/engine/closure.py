@@ -11,7 +11,12 @@ Derived facts are written back as quads into one inference graph per context
 (base graph name + ``-inf``) plus one for the global context; asserted
 knowledge is never duplicated there.  The global inference graph also links
 each context to its inference graph, which makes a closed dataset reload as
-an already-closed repository: a second pass infers nothing.
+an already-closed repository: a second pass infers nothing.  Inference quads
+come out in no particular order; ordering belongs to the writer.
+
+The engine keeps one fact representation, the integer fact sets plus the
+term table; ``ClosureResult.facts`` is a read-only view over them that
+decodes terms on demand.  The closure never writes to the repository.
 """
 from __future__ import annotations
 
@@ -19,10 +24,11 @@ import gc
 import logging
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ckrbench import calculus as cal
-from ckrbench.calculus import Fact, FactBase
-from ckrbench.engine.fixpoint import FactStore, compile_rules, run_fixpoint
+from ckrbench.calculus import Fact
+from ckrbench.engine.fixpoint import FactStore, IntFact, compile_rules, run_fixpoint
 from ckrbench.engine.rules import Regime
 from ckrbench.errors import (
     AssemblyError,
@@ -35,7 +41,7 @@ from ckrbench.model.encoding import encode_axiom, skolem_minter
 from ckrbench.model.repository import CkrRepository
 from ckrbench.namespaces import OWL_SAMEAS, RDF_TYPE
 from ckrbench.rdf.dataset import Dataset, Quad
-from ckrbench.rdf.terms import Term, TermTable, term_key
+from ckrbench.rdf.terms import Term, TermTable
 
 logger = logging.getLogger(__name__)
 
@@ -43,10 +49,61 @@ logger = logging.getLogger(__name__)
 DEFAULT_BUDGET_MILLIS = 1_800_000
 
 
+class FactView:
+    """Read-only term-level view of the closure's integer-encoded facts.
+
+    Facts read as tuples ``(relation, *terms)`` with the context last.  A
+    lookup never interns its query terms: a fact naming a term that the
+    closure never saw is simply absent.
+    """
+
+    __slots__ = ("_rels", "_table")
+
+    def __init__(self, rels: dict[str, set[IntFact]], table: TermTable) -> None:
+        self._rels = rels
+        self._table = table
+
+    def _decode(self, relation: str, enc: IntFact) -> Fact:
+        return (relation, *map(self._table.term, enc))
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self._rels.values())
+
+    def __contains__(self, f: Fact) -> bool:
+        enc = tuple(map(self._table.lookup, f[1:]))
+        return None not in enc and enc in self._rels.get(f[0], ())
+
+    def __iter__(self) -> Iterator[Fact]:
+        for relation, bucket in self._rels.items():
+            for enc in bucket:
+                yield self._decode(relation, enc)
+
+    def relation(self, relation: str) -> frozenset:
+        return frozenset(
+            self._decode(relation, enc) for enc in self._rels.get(relation, ())
+        )
+
+    def match(self, relation: str, *pattern: Term | None) -> list[Fact]:
+        """Facts of a relation whose arguments unify with the pattern
+        (``None`` is a wildcard over one argument incl. the context)."""
+        lookup = self._table.lookup
+        ids = [None if t is None else lookup(t) for t in pattern]
+        if ids.count(None) != pattern.count(None):
+            return []  # a term the closure never saw matches nothing
+        return [
+            self._decode(relation, enc)
+            for enc in self._rels.get(relation, ())
+            if all(i is None or i == v for i, v in zip(ids, enc))
+        ]
+
+    def as_set(self) -> frozenset:
+        return frozenset(self)
+
+
 @dataclass
 class ClosureResult:
     regime_id: str
-    facts: FactBase
+    facts: FactView
     asserted_fact_count: int
     inferred_fact_count: int
     asserted_quad_count: int
@@ -115,17 +172,14 @@ def compute_closure(
     vocab = repo.vocab
     table = TermTable()
     store = FactStore()
-    asserted: set[tuple] = set()  # int-encoded asserted facts
-
-    def intern_fact(f: Fact) -> tuple[str, tuple]:
-        return f[0], tuple(table.intern(t) for t in f[1:])
+    asserted: dict[str, set[IntFact]] = {}  # asserted facts per relation
 
     def add_facts(facts, *, is_asserted: bool) -> None:
         for f in facts:
-            rel, enc = intern_fact(f)
+            rel, enc = f[0], tuple(map(table.intern, f[1:]))
             store.add(rel, enc)
             if is_asserted:
-                asserted.add((rel, enc))
+                asserted.setdefault(rel, set()).add(enc)
 
     g = vocab.global_graph
     timed_out = False
@@ -140,14 +194,12 @@ def compute_closure(
 
         with clock.stage("assoc"):
             contexts, mod_assoc = _read_associations(store, table, repo)
-            repo.contexts = set(contexts)
-            repo.mod_assoc = set(mod_assoc)
 
         if regime.local_rules is not None:
             with clock.stage("local"):
                 propagated = repo.global_object_axioms()
                 for c in contexts:
-                    for ax in repo.context_kb(c):
+                    for ax in repo.context_kb(c, mod_assoc):
                         add_facts(
                             cal.translate_axiom(ax, c, vocab), is_asserted=True
                         )
@@ -159,20 +211,20 @@ def compute_closure(
     except BudgetExceeded:
         timed_out = True
 
-    facts = FactBase()
     inference_quads: list[Quad] = []
     inconsistent: set[Term] = set()
     if not timed_out:
         with clock.stage("materialize"):
-            facts, inference_quads, inconsistent = _materialize(
+            inference_quads, inconsistent = _materialize(
                 store, table, asserted, repo, contexts
             )
 
-    asserted_facts = len(asserted)
+    asserted_facts = sum(len(bucket) for bucket in asserted.values())
     total_facts = len(store)
     result = ClosureResult(
         regime_id=regime.id,
-        facts=facts,
+        # the rels only: the store's join indexes are freed on return
+        facts=FactView(store.rels, table),
         asserted_fact_count=asserted_facts,
         inferred_fact_count=max(total_facts - asserted_facts, 0),
         asserted_quad_count=len(repo.dataset),
@@ -228,41 +280,43 @@ def _read_associations(
 def _materialize(
     store: FactStore,
     table: TermTable,
-    asserted: set[tuple],
+    asserted: dict[str, set[IntFact]],
     repo: CkrRepository,
     contexts: set[Term],
-) -> tuple[FactBase, list[Quad], set[Term]]:
+) -> tuple[list[Quad], set[Term]]:
+    """The quads of every non-asserted fact that the dataset lacks, plus the
+    module links of the inference graphs they go to, in no particular order;
+    and the inconsistent contexts."""
     vocab = repo.vocab
-    facts = FactBase()
-    inconsistent: set[Term] = set()
-    derived_by_ctx: dict[Term, list[Fact]] = {}
-
-    for rel, bucket in sorted(store.rels.items()):
-        for enc in bucket:
-            f: Fact = (rel, *(table.term(i) for i in enc))
-            facts.add(f)
-            if rel == cal.UNSAT:
-                inconsistent.add(f[1])
-            if (rel, enc) not in asserted:
-                derived_by_ctx.setdefault(cal.fact_context(f), []).append(f)
-
+    dataset = repo.dataset
+    term = table.term
+    inconsistent = {term(enc[0]) for enc in store.rels.get(cal.UNSAT, ())}
+    targets: dict[Term, Term] = {}  # context -> its inference graph
+    linked: set[Term] = set()  # contexts that received a quad
     quads: list[Quad] = []
-    glue: list[Quad] = []
-    g_inf = vocab.inference_graph(vocab.global_graph)
-    for ctx in sorted(derived_by_ctx, key=term_key):
-        target = vocab.inference_graph(ctx)
-        emitted = False
-        for f in sorted(derived_by_ctx[ctx], key=lambda f: (f[0], *map(term_key, f[1:]))):
+    for rel, bucket in store.rels.items():
+        known = asserted.get(rel, ())
+        for enc in bucket:
+            if enc in known:
+                continue
+            f: Fact = (rel, *map(term, enc))
+            ctx = f[-1]
+            target = targets.get(ctx)
+            if target is None:
+                target = targets[ctx] = vocab.inference_graph(ctx)
             for s, p, o in _fact_triples(f, vocab):
                 quad = Quad(s, p, o, target)
-                if quad not in repo.dataset:
+                if quad not in dataset:
                     quads.append(quad)
-                    emitted = True
-        if emitted and ctx != vocab.global_graph and ctx in contexts:
-            link = Quad(ctx, vocab.mod_property, target, g_inf)
-            if link not in repo.dataset:
-                glue.append(link)
-    return facts, quads + glue, inconsistent
+                    linked.add(ctx)
+
+    g_inf = vocab.inference_graph(vocab.global_graph)
+    for ctx in linked:
+        if ctx != vocab.global_graph and ctx in contexts:
+            link = Quad(ctx, vocab.mod_property, targets[ctx], g_inf)
+            if link not in dataset:
+                quads.append(link)
+    return quads, inconsistent
 
 
 def _fact_triples(f: Fact, vocab) -> list[tuple[Term, Term, Term]]:

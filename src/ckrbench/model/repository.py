@@ -1,8 +1,8 @@
 """Repository assembly: global knowledge plus named knowledge modules.
 
-A repository is assembled from a dataset once and is immutable afterwards
-except for the two association fields (`contexts`, `mod_assoc`) that the
-closure engine fills from the global closure.
+A repository is assembled from a dataset once and is immutable afterwards:
+the closure engine reads it and returns the context set and the
+context-module associations in its result.
 
 On reload of a closed dataset, the global inference graph is treated as part
 of the global knowledge, so module links written during materialization are
@@ -11,6 +11,7 @@ honoured and a second closure pass is a no-op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ckrbench.errors import AssemblyError
 from ckrbench.model.axioms import Axiom
@@ -42,14 +43,14 @@ class CkrRepository:
     global_axioms: frozenset[Axiom]
     modules: dict[Term, KnowledgeModule]
     warnings: list[str] = field(default_factory=list)
-    # Filled by the closure engine after the global stage.
-    contexts: set[Term] = field(default_factory=set)
-    mod_assoc: set[tuple[Term, Term]] = field(default_factory=set)
 
-    def context_kb(self, context: Term) -> set[Axiom]:
-        """Union of the axioms of all modules associated with a context."""
+    def context_kb(
+        self, context: Term, mod_assoc: Iterable[tuple[Term, Term]]
+    ) -> set[Axiom]:
+        """Union of the axioms of all modules that ``mod_assoc``, a set of
+        (context, module) pairs, associates with a context."""
         kb: set[Axiom] = set()
-        for ctx, mod in self.mod_assoc:
+        for ctx, mod in mod_assoc:
             if ctx == context:
                 kb |= self.modules[mod].axioms
         return kb

@@ -94,11 +94,12 @@ class TermTable:
             self._terms.append(term)
         return tid
 
+    def lookup(self, term: Term) -> int | None:
+        """The term's id, or None when it was never interned."""
+        return self._ids.get(term)
+
     def term(self, tid: int) -> Term:
         return self._terms[tid]
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __contains__(self, term: Term) -> bool:
-        return term in self._ids

@@ -8,7 +8,7 @@ from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.repository import assemble_repository
 from ckrbench.namespaces import DEFAULT_VOCAB
-from util import gen
+from util import gen, trig
 
 A0, A1, A2 = gen("A0"), gen("A1"), gen("A2")
 R0, R1, R2 = gen("R0"), gen("R1"), gen("R2")
@@ -103,26 +103,21 @@ def test_translate_loc_rejects_plain_shapes():
         cal.translate_loc(axiom(ax.SUB_CLASS, A0, A1), c0)
 
 
-def test_translate_glob_empty():
-    from ckrbench.rdf.dataset import Dataset
-
-    repo = assemble_repository(Dataset())
-    assert cal.translate_glob(repo) == set()
+def _global_facts(repo):
+    """The engine's translation of the global knowledge base."""
+    return {f for a in repo.global_axioms for f in cal.translate_rl(a, G)}
 
 
-def test_translate_glob_context_declaration():
-    from util import trig
-
+def test_global_axioms_translate_context_declarations_and_module_links():
     repo = assemble_repository(trig("ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . } :m0 { }"))
-    assert cal.translate_glob(repo) == {
+    assert _global_facts(repo) == {
         ("inst", c0, DEFAULT_VOCAB.ctx_class, G),
         ("triple", c0, DEFAULT_VOCAB.mod_property, gen("m0"), G),
     }
 
 
-def test_translate_glob_ts2_structure_counts():
-    repo = assemble_repository(build_ts2(100, 0, 0))
-    facts = cal.translate_glob(repo)
+def test_global_axioms_translate_ts2_structure_counts():
+    facts = _global_facts(assemble_repository(build_ts2(100, 0, 0)))
     ctx_decls = [f for f in facts if f[0] == "inst" and f[2] == DEFAULT_VOCAB.ctx_class]
     mod_links = [f for f in facts if f[0] == "triple"]
     assert len(ctx_decls) == 100
@@ -147,12 +142,6 @@ def test_output_translation():
         cal.output_translation(axiom(ax.SUB_CLASS, A0, A1), c0)
 
 
-def test_fact_arity_validation():
-    with pytest.raises(ValueError):
-        cal.fact("inst", a0, A0)  # missing context
-    assert cal.fact("unsat", c0) == ("unsat", c0)
-
-
 def test_fact_to_axiom_round_trip():
     for sample in _NON_EVAL:
         fact = next(iter(cal.translate_rl(sample, c0)))
@@ -160,10 +149,3 @@ def test_fact_to_axiom_round_trip():
     with pytest.raises(TranslationError):
         cal.fact_to_axiom(("subEval", A0, gen("X"), A1, c0))
 
-
-def test_fact_base_match():
-    base = cal.FactBase([("inst", a0, A0, c0), ("inst", a1, A0, c0), ("inst", a0, A1, G)])
-    assert len(base.match("inst", None, A0, None)) == 2
-    assert base.match("inst", a0, None, G) == [("inst", a0, A1, G)]
-    assert ("inst", a0, A0, c0) in base
-    assert len(base) == 3

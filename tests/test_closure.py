@@ -200,6 +200,9 @@ def test_timeout_flag_and_suppressed_output():
     result = closure(build_ts2(20, 19, 10), budget=1)
     assert result.timed_out
     assert result.inference_quads == []
+    # the facts show the partial closure that the counts describe
+    assert len(result.facts) == result.asserted_fact_count + result.inferred_fact_count
+    assert len(result.facts) > 0
 
 
 def test_budget_stops_the_closure_close_to_its_deadline():
@@ -285,9 +288,18 @@ def test_shared_module_reasons_in_every_attached_context():
     result = compute_closure(repo, OWL_LOCAL)
     for ctx in (gen("c0"), gen("c1")):
         assert ("inst", gen("a0"), gen("A1"), ctx) in result.facts
-    # the engine fills the association fields on the repository
-    assert repo.contexts == {gen("c0"), gen("c1")}
-    assert repo.mod_assoc == {(gen("c0"), gen("shared")), (gen("c1"), gen("shared"))}
+    assert result.contexts == {gen("c0"), gen("c1")}
+    assert result.mod_assoc == {(gen("c0"), gen("shared")), (gen("c1"), gen("shared"))}
+
+
+def test_closure_leaves_the_repository_unchanged():
+    repo = assemble_repository(build_ts2(5, 2, 4))
+    fields = dict(vars(repo))
+    dataset = repo.dataset.copy()
+    result = compute_closure(repo, OWL_LOCAL)
+    assert result.contexts and result.mod_assoc
+    assert vars(repo) == fields
+    assert repo.dataset == dataset
 
 
 def test_derived_context_membership_via_subclass():
@@ -308,3 +320,37 @@ def test_quad_level_counts_are_consistent():
     assert result.inferred_quad_count == 210  # 200 memberships + 10 module links
     closed = result.closed_dataset()
     assert len(closed) == result.asserted_quad_count + result.inferred_quad_count
+    assert len(result.facts) == result.asserted_fact_count + result.inferred_fact_count
+
+
+def test_fact_view_match():
+    d = trig(
+        "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . :a0 a :A1 . } "
+        ":m0 { :a0 a :A0 . :a1 a :A0 . }"
+    )
+    facts = closure(d, "ckr-rdfs-local").facts
+    a0, a1, A0, A1, c0 = gen("a0"), gen("a1"), gen("A0"), gen("A1"), gen("c0")
+    assert sorted(facts.match("inst", None, A0, None)) == [
+        ("inst", a0, A0, c0),
+        ("inst", a1, A0, c0),
+    ]
+    assert facts.match("inst", a0, None, G) == [("inst", a0, A1, G)]
+    assert ("inst", a0, A0, c0) in facts
+    assert ("inst", a1, A1, c0) not in facts
+    # c0 declared, c0 linked, a0:A1 in both contexts, a0:A0 and a1:A0 in c0
+    assert len(facts) == len(list(facts)) == len(facts.as_set()) == 6
+    assert facts.relation("triple") == {
+        ("triple", c0, DEFAULT_VOCAB.mod_property, gen("m0"), G)
+    }
+
+
+def test_fact_view_lookups_do_not_intern_unseen_terms():
+    facts = closure(trig("ckr:global { :a0 a :A0 . }")).facts
+    table = facts._table
+    size = len(table)
+    unseen = gen("never-seen")
+    assert ("inst", gen("a0"), gen("A0"), G) in facts
+    assert ("inst", unseen, gen("A0"), G) not in facts
+    assert facts.match("inst", unseen, None, None) == []
+    assert facts.match("inst", None, None, unseen) == []
+    assert len(table) == size

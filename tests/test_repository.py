@@ -16,7 +16,6 @@ def test_empty_dataset_assembles_empty_repository():
     repo = assemble_repository(Dataset())
     assert repo.global_axioms == frozenset()
     assert repo.modules == {}
-    assert repo.contexts == set()
 
 
 def test_minimal_context_module_pair():
@@ -124,13 +123,15 @@ def test_context_kb_unions_shared_modules():
         ":shared { :a0 a :A0 . }"
     )
     repo = assemble_repository(d)
-    repo.mod_assoc = {
+    mod_assoc = {
         (gen("c0"), gen("m0")),
         (gen("c0"), gen("shared")),
         (gen("c1"), gen("shared")),
     }
-    assert repo.context_kb(gen("c0")) == {
+    assert repo.context_kb(gen("c0"), mod_assoc) == {
         axiom(ax.SUB_CLASS, gen("A0"), gen("A1")),
         axiom(ax.CONCEPT_ASSERT, gen("A0"), gen("a0")),
     }
-    assert repo.context_kb(gen("c1")) == {axiom(ax.CONCEPT_ASSERT, gen("A0"), gen("a0"))}
+    assert repo.context_kb(gen("c1"), mod_assoc) == {
+        axiom(ax.CONCEPT_ASSERT, gen("A0"), gen("a0"))
+    }
