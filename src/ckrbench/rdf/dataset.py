@@ -1,13 +1,15 @@
 """In-memory named-graph quad store.
 
 Set semantics throughout: a dataset never holds duplicate quads and
-``add_quads`` reports only genuinely new insertions.  Lookup structures cover
-the access paths closure evaluation needs (whole graph, subject, predicate,
-predicate+object, graph+subject), so per-graph scans and join probes stay
-sub-linear in the dataset size.
+``add_quads`` reports only genuinely new insertions.  The one index is quads
+by graph: assembly and the writer read whole graphs, and the closure engine
+joins over its own integer store.  ``match`` without a graph scans a snapshot
+of the quad set.
 
 Concurrency contract: reads may proceed concurrently; writes take the store
-lock (single writer).  The closure engine only writes at stage barriers.
+lock (single writer).  Whole-set reads (iteration, ``match`` without a graph,
+``copy``) work on a snapshot taken under the lock.  The closure engine never
+writes to its input.
 """
 from __future__ import annotations
 
@@ -32,10 +34,6 @@ class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
         self._quads: set[Quad] = set()
         self._by_g: dict[Term, list[Quad]] = {}
-        self._by_s: dict[Term, list[Quad]] = {}
-        self._by_p: dict[Term, list[Quad]] = {}
-        self._by_po: dict[tuple[Term, Term], list[Quad]] = {}
-        self._by_gs: dict[tuple[Term, Term], list[Quad]] = {}
         self._declared_graphs: set[Term] = set()
         self._lock = threading.Lock()
         if quads:
@@ -66,10 +64,6 @@ class Dataset:
                 self._validate(q)
                 self._quads.add(q)
                 self._by_g.setdefault(q.g, []).append(q)
-                self._by_s.setdefault(q.s, []).append(q)
-                self._by_p.setdefault(q.p, []).append(q)
-                self._by_po.setdefault((q.p, q.o), []).append(q)
-                self._by_gs.setdefault((q.g, q.s), []).append(q)
                 self._declared_graphs.add(q.g)
                 added += 1
         return added
@@ -88,7 +82,11 @@ class Dataset:
         return q in self._quads
 
     def __iter__(self) -> Iterator[Quad]:
-        return iter(self._quads)
+        return iter(self._snapshot())
+
+    def _snapshot(self) -> list[Quad]:
+        with self._lock:
+            return list(self._quads)
 
     def graph_names(self) -> list[Term]:
         return sorted(self._declared_graphs, key=term_key)
@@ -111,35 +109,24 @@ class Dataset:
         g: Term | None = None,
     ) -> list[Quad]:
         """Quads unifying with the pattern, sorted by term identity."""
+        candidates = self._by_g.get(g, ()) if g is not None else self._snapshot()
         out = [
             q
-            for q in self._candidates(s, p, o, g)
+            for q in candidates
             if (s is None or q.s == s)
             and (p is None or q.p == p)
             and (o is None or q.o == o)
-            and (g is None or q.g == g)
         ]
         out.sort(key=_quad_key)
         return out
 
-    def _candidates(self, s, p, o, g) -> Iterable[Quad]:
-        if g is not None and s is not None:
-            return self._by_gs.get((g, s), ())
-        if g is not None:
-            return self._by_g.get(g, ())
-        if s is not None:
-            return self._by_s.get(s, ())
-        if p is not None and o is not None:
-            return self._by_po.get((p, o), ())
-        if p is not None:
-            return self._by_p.get(p, ())
-        return self._quads
-
     def copy(self) -> "Dataset":
+        """An independent copy of the validated state, not re-inserted."""
         d = Dataset()
-        d.add_quads(self._quads)
-        for g in self._declared_graphs:
-            d.declare_graph(g)
+        with self._lock:
+            d._quads = set(self._quads)
+            d._by_g = {g: list(qs) for g, qs in self._by_g.items()}
+            d._declared_graphs = set(self._declared_graphs)
         return d
 
     def __eq__(self, other: object) -> bool:

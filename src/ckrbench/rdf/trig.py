@@ -85,61 +85,46 @@ _UNESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 
 
 class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "pos")
 
-    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
+    def __init__(self, kind: str, value: str, pos: int) -> None:
         self.kind = kind
         self.value = value
-        self.line = line
-        self.col = col
+        self.pos = pos  # offset into the document
+
+
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError at a 1-based line and column, counted only when raised."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup or ""
-        value = m.group()
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
         if kind != "WS":
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + value.rindex("\n") + 1
+            tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
+    if pos < len(text):
+        raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
+    tokens.append(_Token("EOF", "", pos))
     return tokens
-
-
-def _unescape(raw: str, line: int, col: int) -> str:
-    def repl(m: re.Match) -> str:
-        esc = m.group(1)
-        if esc[0] in "uU":
-            return chr(int(esc[1:], 16))
-        try:
-            return _STRING_ESCAPES[esc]
-        except KeyError:
-            raise ParseError(f"invalid escape sequence \\{esc}", line, col) from None
-
-    return _UNESCAPE.sub(repl, raw)
 
 
 class _Parser:
     def __init__(self, text: str, *, turtle_only: bool = False) -> None:
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.turtle_only = turtle_only
         self.prefixes: dict[str, str] = {}
         self.base: str | None = None
         self.dataset = Dataset()
+        self.quads: list[Quad] = []  # inserted in one batch at the end
         self.current_graph = DEFAULT_GRAPH
         # Blank-node housekeeping: anonymous nodes get labels that avoid every
         # explicitly written label; explicit labels are kept verbatim and may
@@ -164,11 +149,23 @@ class _Parser:
         tok = self._next()
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value or kind
-            raise ParseError(f"expected {want!r}, found {tok.value!r}", tok.line, tok.col)
+            raise self._fail(f"expected {want!r}, found {tok.value!r}", tok)
         return tok
 
     def _fail(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, tok.line, tok.col)
+        return _error_at(self.text, tok.pos, message)
+
+    def _unescape(self, raw: str, tok: _Token) -> str:
+        def repl(m: re.Match) -> str:
+            esc = m.group(1)
+            if esc[0] in "uU":
+                return chr(int(esc[1:], 16))
+            try:
+                return _STRING_ESCAPES[esc]
+            except KeyError:
+                raise self._fail(f"invalid escape sequence \\{esc}", tok) from None
+
+        return _UNESCAPE.sub(repl, raw)
 
     # -- document ---------------------------------------------------------
 
@@ -186,6 +183,7 @@ class _Parser:
                 self._graph_block(self._node_or_fail("graph name"))
             else:
                 self._block_or_triples()
+        self.dataset.add_quads(self.quads)
         return self.dataset
 
     def _directive(self) -> None:
@@ -315,7 +313,7 @@ class _Parser:
         raw = tok.value
         quote = raw[0]
         body = raw[3:-3] if raw.startswith(quote * 3) else raw[1:-1]
-        value = _unescape(body, tok.line, tok.col)
+        value = self._unescape(body, tok)
         nxt = self._peek()
         if nxt.kind == "HATHAT":
             self._next()
@@ -355,7 +353,7 @@ class _Parser:
     # -- leaf helpers -----------------------------------------------------
 
     def _iri_value(self, tok: _Token) -> str:
-        value = _unescape(tok.value[1:-1], tok.line, tok.col)
+        value = self._unescape(tok.value[1:-1], tok)
         if self.base is not None and not is_valid_iri(value):
             from urllib.parse import urljoin
 
@@ -371,9 +369,10 @@ class _Parser:
         if prefix not in self.prefixes:
             raise self._fail(f"undefined prefix {prefix + ':'!r}", tok)
         expanded = self.prefixes[prefix] + local
-        if not is_valid_iri(expanded):
-            raise self._fail(f"invalid IRI <{expanded}>", tok)
-        return iri(expanded)
+        try:
+            return iri(expanded)
+        except ValueError:
+            raise self._fail(f"invalid IRI <{expanded}>", tok) from None
 
     def _labelled_blank(self, tok: _Token, graph: Term) -> Term:
         label = tok.value[2:]
@@ -405,7 +404,7 @@ class _Parser:
     def _emit(self, s: Term, p: Term, o: Term, g: Term) -> None:
         if s.kind == "literal":
             raise self._fail("literal in subject position", self._peek())
-        self.dataset.add(Quad(s, p, o, g))
+        self.quads.append(Quad(s, p, o, g))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +455,7 @@ class _Writer:
         self.dataset = dataset
         self.prefixes = dict(STANDARD_PREFIXES)
         self._label_map = self._relabel_blanks()
+        self._formatted: dict[Term, str] = {}
 
     def _relabel_blanks(self) -> dict[str, str]:
         labels = sorted(
@@ -466,11 +466,16 @@ class _Writer:
         return {label: f"b{i}" for i, label in enumerate(labels)}
 
     def format_term(self, t: Term) -> str:
-        if t.kind == "iri":
-            return self._format_iri(t.lexical)
-        if t.kind == "blank":
-            return "_:" + self._label_map.get(t.lexical, t.lexical)
-        return self._format_literal(t)
+        text = self._formatted.get(t)
+        if text is None:
+            if t.kind == "iri":
+                text = self._format_iri(t.lexical)
+            elif t.kind == "blank":
+                text = "_:" + self._label_map.get(t.lexical, t.lexical)
+            else:
+                text = self._format_literal(t)
+            self._formatted[t] = text
+        return text
 
     def _format_iri(self, lexical: str) -> str:
         for prefix, ns in self.prefixes.items():
@@ -512,9 +517,10 @@ class _Writer:
         for s in sorted(grouped, key=term_key):
             parts = []
             for p in sorted(grouped[s], key=term_key):
-                objs = ", ".join(
-                    self.format_term(o) for o in sorted(grouped[s][p], key=term_key)
-                )
+                objects = grouped[s][p]
+                if len(objects) > 1:
+                    objects.sort(key=term_key)
+                objs = ", ".join(map(self.format_term, objects))
                 pred = "a" if p == RDF_TYPE else self.format_term(p)
                 parts.append(f"{pred} {objs}")
             joined = f" ;\n{indent}    ".join(parts)

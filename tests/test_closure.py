@@ -1,5 +1,6 @@
 """Staged closure: stages, propagation, eval chains, entailment checking."""
 import gc
+import hashlib
 import time
 
 import pytest
@@ -236,6 +237,16 @@ def test_closed_dataset_reloads_and_recloses_to_zero():
     second = closure(reloaded)
     assert second.inferred_quad_count == 0
     assert second.facts.relation("inst") >= first.facts.relation("inst")
+
+
+def test_closed_dataset_bytes_are_pinned():
+    result = closure(build_ts2(10, 9, 10))
+    assert result.inferred_quad_count == 910
+    out = write_dataset(result.closed_dataset())
+    assert len(out) == 34_830
+    assert hashlib.sha256(out).hexdigest() == (
+        "1a9fef5e0eae622e4ab01408933daa24e1ddc0f8d5355b61aaddc57ed0de44d9"
+    )
 
 
 def test_module_link_derived_through_subproperty():

@@ -1,5 +1,6 @@
 """Terms, quads and the named-graph store."""
 import random
+import sys
 import threading
 
 import pytest
@@ -121,30 +122,66 @@ def test_graph_names_and_sizes():
     assert d.has_graph(gen("empty"))
 
 
+def test_copy_is_independent_and_keeps_declared_graphs():
+    source = random_dataset(5, 300)
+    source.declare_graph(gen("empty"))
+    g = gen("g1")
+    copy = source.copy()
+    assert copy == source
+    assert copy.graph_names() == source.graph_names()
+    assert copy.has_graph(gen("empty")) and copy.graph_size(gen("empty")) == 0
+    assert set(copy.graph(g)) == set(source.graph(g))
+
+    before = (len(source), source.graph(g), source.graph_size(g))
+    assert copy.add(q("new-s", "p", "o", "g1"))
+    assert (len(source), source.graph(g), source.graph_size(g)) == before
+    assert len(copy) == before[0] + 1 and copy.graph_size(g) == before[2] + 1
+
+    after = (len(copy), copy.graph(g), copy.graph_size(g))
+    assert source.add(q("other-s", "p", "o", "g1"))
+    assert (len(copy), copy.graph(g), copy.graph_size(g)) == after
+    source.declare_graph(gen("later"))
+    assert not copy.has_graph(gen("later"))
+
+
 def test_single_writer_many_readers():
     d = Dataset()
+    writes = 20_000
     errors: list[Exception] = []
+    done = threading.Event()
 
     def write():
         try:
-            for i in range(500):
+            for i in range(writes):
                 d.add(q("s", "p", f"o{i}"))
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
+        finally:
+            done.set()
 
     def read():
+        # Patterns without a graph walk the whole quad set while the writer
+        # grows it.
         try:
-            for _ in range(200):
+            while not done.is_set():
                 d.match(s=gen("s"))
+                d.match(o=gen("o0"))
+                d.match()
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
     threads = [threading.Thread(target=write)] + [
         threading.Thread(target=read) for _ in range(3)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(d) == 500
+    assert len(d) == writes

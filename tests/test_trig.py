@@ -1,4 +1,6 @@
 """TriG/Turtle reading, writing and the round-trip contract."""
+import hashlib
+
 import pytest
 
 from ckrbench.errors import ParseError, SerializationError
@@ -82,8 +84,23 @@ def test_long_string_round_trip():
 def test_syntax_error_has_position():
     with pytest.raises(ParseError) as err:
         load_dataset(PREAMBLE + ":s :p .")
-    assert err.value.line == 7
-    assert err.value.column > 0
+    assert (err.value.line, err.value.column) == (7, 7)
+
+
+@pytest.mark.parametrize(
+    "body, line, column",
+    [
+        # an unexpected character after a literal spanning two lines
+        (':s :p """line one\nline two""" ; ! .', 8, 15),
+        # the end of a document without a trailing newline
+        (":a :p :b .\n:s :p :o", 8, 9),
+    ],
+    ids=["after-multiline-literal", "end-without-newline"],
+)
+def test_syntax_error_position_is_exact(body, line, column):
+    with pytest.raises(ParseError) as err:
+        load_dataset(PREAMBLE + body)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_undefined_prefix():
@@ -148,6 +165,14 @@ def test_write_is_deterministic():
     a = write_dataset(random_dataset(4, 800))
     b = write_dataset(random_dataset(4, 800))
     assert a == b
+
+
+def test_write_bytes_are_pinned():
+    out = write_dataset(random_dataset(7, 2000))
+    assert len(out) == 33_202
+    assert hashlib.sha256(out).hexdigest() == (
+        "34776f588e35b50b0b538d79d0a4015623aeec1835724dea8309f0cc9ab7c7ed"
+    )
 
 
 def test_multi_graph_writing_one_block_per_graph():
