@@ -85,13 +85,12 @@ def bench_file(
 ) -> list[BenchRecord]:
     """All (regime, run) records for one suite file, plus averaged rows."""
     suite, config, seed = describe_file(path)
-    dataset = load_path(str(path))
+    repo = assemble_repository(load_path(str(path)))
     records: list[BenchRecord] = []
     for regime_id in regime_ids:
         regime = instantiate_ruleset(regime_id)
         per_regime: list[BenchRecord] = []
         for run in range(1, runs + 1):
-            repo = assemble_repository(dataset)
             result = compute_closure(repo, regime, timeout_millis)
             inferred = 0 if result.timed_out else result.inferred_quad_count
             per_regime.append(

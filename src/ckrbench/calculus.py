@@ -2,7 +2,7 @@
 
 A fact is a plain tuple ``(relation, arg..., context)``: the context is
 always the last argument (``unsat`` carries only the context).  The global
-context is named by the vocabulary's global-graph IRI.
+context is named by the fixed global-graph IRI ``ckr:global``.
 
 Every deduction relation used by the engine lives here: instance and role
 membership (``inst``/``triple``), the schema relations mirroring the axiom
@@ -14,7 +14,7 @@ from __future__ import annotations
 from ckrbench.errors import InstanceQueryError, TranslationError
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import Axiom
-from ckrbench.namespaces import DEFAULT_VOCAB, CkrVocabulary
+from ckrbench.namespaces import GLOBAL_GRAPH, nominal_class
 from ckrbench.rdf.terms import Term
 
 Fact = tuple  # (relation: str, *args: Term) with the context last
@@ -102,9 +102,7 @@ def translate_rl(axiom: Axiom, ctx: Term) -> set[Fact]:
     return {(relation, *a, ctx)}
 
 
-def translate_loc(
-    axiom: Axiom, ctx: Term, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> set[Fact]:
+def translate_loc(axiom: Axiom, ctx: Term) -> set[Fact]:
     """Translate an eval inclusion; nominal contexts expand to a synthetic
     class plus its membership fact in the global context."""
     if not axiom.is_eval:
@@ -113,18 +111,16 @@ def translate_loc(
     left, ctx_class, right = axiom.args
     if not axiom.nominal_ctx:
         return {(relation, left, ctx_class, right, ctx)}
-    synthetic = vocab.nominal_class(ctx_class)
+    synthetic = nominal_class(ctx_class)
     return {
         (relation, left, synthetic, right, ctx),
-        (INST, ctx_class, synthetic, vocab.global_graph),
+        (INST, ctx_class, synthetic, GLOBAL_GRAPH),
     }
 
 
-def translate_axiom(
-    axiom: Axiom, ctx: Term, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> set[Fact]:
+def translate_axiom(axiom: Axiom, ctx: Term) -> set[Fact]:
     if axiom.is_eval:
-        return translate_loc(axiom, ctx, vocab)
+        return translate_loc(axiom, ctx)
     return translate_rl(axiom, ctx)
 
 

@@ -39,7 +39,15 @@ from ckrbench.errors import (
 from ckrbench.model.axioms import Axiom
 from ckrbench.model.encoding import encode_axiom, skolem_minter
 from ckrbench.model.repository import CkrRepository
-from ckrbench.namespaces import OWL_SAMEAS, RDF_TYPE
+from ckrbench.namespaces import (
+    CTX_CLASS,
+    GLOBAL_GRAPH,
+    INCONSISTENT_CLASS,
+    MOD_PROPERTY,
+    OWL_SAMEAS,
+    RDF_TYPE,
+    inference_graph,
+)
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import Term, TermTable
 
@@ -169,7 +177,6 @@ def compute_closure(
             gc.enable()
     clock = _Clock()
     deadline = clock.t0 + budget_millis / 1000.0
-    vocab = repo.vocab
     table = TermTable()
     store = FactStore()
     asserted: dict[str, set[IntFact]] = {}  # asserted facts per relation
@@ -181,7 +188,6 @@ def compute_closure(
             if is_asserted:
                 asserted.setdefault(rel, set()).add(enc)
 
-    g = vocab.global_graph
     timed_out = False
     contexts: set[Term] = set()
     mod_assoc: set[tuple[Term, Term]] = set()
@@ -189,7 +195,7 @@ def compute_closure(
     try:
         with clock.stage("global"):
             for ax in repo.global_axioms:
-                add_facts(cal.translate_rl(ax, g), is_asserted=True)
+                add_facts(cal.translate_rl(ax, GLOBAL_GRAPH), is_asserted=True)
             run_fixpoint(store, compile_rules(regime.global_rules, table.intern), deadline)
 
         with clock.stage("assoc"):
@@ -200,9 +206,7 @@ def compute_closure(
                 propagated = repo.global_object_axioms()
                 for c in contexts:
                     for ax in repo.context_kb(c, mod_assoc):
-                        add_facts(
-                            cal.translate_axiom(ax, c, vocab), is_asserted=True
-                        )
+                        add_facts(cal.translate_axiom(ax, c), is_asserted=True)
                     for ax in propagated:
                         add_facts(cal.translate_rl(ax, c), is_asserted=False)
                 run_fixpoint(
@@ -252,10 +256,9 @@ def compute_closure(
 def _read_associations(
     store: FactStore, table: TermTable, repo: CkrRepository
 ) -> tuple[set[Term], set[tuple[Term, Term]]]:
-    vocab = repo.vocab
-    g_id = table.intern(vocab.global_graph)
-    ctx_id = table.intern(vocab.ctx_class)
-    mod_id = table.intern(vocab.mod_property)
+    g_id = table.intern(GLOBAL_GRAPH)
+    ctx_id = table.intern(CTX_CLASS)
+    mod_id = table.intern(MOD_PROPERTY)
 
     contexts: set[Term] = set()
     for fact in store.facts(cal.INST):
@@ -287,7 +290,6 @@ def _materialize(
     """The quads of every non-asserted fact that the dataset lacks, plus the
     module links of the inference graphs they go to, in no particular order;
     and the inconsistent contexts."""
-    vocab = repo.vocab
     dataset = repo.dataset
     term = table.term
     inconsistent = {term(enc[0]) for enc in store.rels.get(cal.UNSAT, ())}
@@ -303,23 +305,23 @@ def _materialize(
             ctx = f[-1]
             target = targets.get(ctx)
             if target is None:
-                target = targets[ctx] = vocab.inference_graph(ctx)
-            for s, p, o in _fact_triples(f, vocab):
+                target = targets[ctx] = inference_graph(ctx)
+            for s, p, o in _fact_triples(f):
                 quad = Quad(s, p, o, target)
                 if quad not in dataset:
                     quads.append(quad)
                     linked.add(ctx)
 
-    g_inf = vocab.inference_graph(vocab.global_graph)
+    g_inf = inference_graph(GLOBAL_GRAPH)
     for ctx in linked:
-        if ctx != vocab.global_graph and ctx in contexts:
-            link = Quad(ctx, vocab.mod_property, targets[ctx], g_inf)
+        if ctx != GLOBAL_GRAPH and ctx in contexts:
+            link = Quad(ctx, MOD_PROPERTY, targets[ctx], g_inf)
             if link not in dataset:
                 quads.append(link)
     return quads, inconsistent
 
 
-def _fact_triples(f: Fact, vocab) -> list[tuple[Term, Term, Term]]:
+def _fact_triples(f: Fact) -> list[tuple[Term, Term, Term]]:
     rel = f[0]
     # fast paths: the relations that need no auxiliary nodes
     if rel == cal.INST:
@@ -329,9 +331,9 @@ def _fact_triples(f: Fact, vocab) -> list[tuple[Term, Term, Term]]:
     if rel == cal.EQ:
         return [(f[1], OWL_SAMEAS, f[2])]
     if rel == cal.UNSAT:
-        return [(f[1], RDF_TYPE, vocab.inconsistent_class)]
+        return [(f[1], RDF_TYPE, INCONSISTENT_CLASS)]
     mint = skolem_minter(rel, *(t.lexical for t in f[1:]))
-    return encode_axiom(cal.fact_to_axiom(f), mint, vocab)
+    return encode_axiom(cal.fact_to_axiom(f), mint)
 
 
 def check_entailment(
@@ -347,6 +349,6 @@ def check_entailment(
     result = compute_closure(repo, regime, budget_millis)
     if result.timed_out:
         raise BudgetExceeded("closure timed out before the entailment check")
-    if context != repo.vocab.global_graph and context not in result.contexts:
+    if context != GLOBAL_GRAPH and context not in result.contexts:
         raise UnknownContextError(f"unknown context: {context!r}")
     return cal.output_translation(axiom, context) in result.facts

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from ckrbench import calculus as cal
-from ckrbench.namespaces import DEFAULT_VOCAB, CkrVocabulary
+from ckrbench.namespaces import GLOBAL_GRAPH
 from ckrbench.rdf.terms import Term
 
 
@@ -193,23 +193,22 @@ def rl_rules() -> tuple[Rule, ...]:
     )
 
 
-def loc_rules(vocab: CkrVocabulary = DEFAULT_VOCAB) -> tuple[Rule, ...]:
+def loc_rules() -> tuple[Rule, ...]:
     """Eval resolution: membership in the source context, read via the
     global closure, lands in the referring context."""
-    g = vocab.global_graph
     return (
         _r(
             "eval-class",
             (cal.INST, X, B, C),
             (cal.SUBEVAL, A, C1, B, C),
-            (cal.INST, CP, C1, g),
+            (cal.INST, CP, C1, GLOBAL_GRAPH),
             (cal.INST, X, A, CP),
         ),
         _r(
             "eval-role",
             (cal.TRIPLE, X, S, Y, C),
             (cal.SUBEVALR, R, C1, S, C),
-            (cal.INST, CP, C1, g),
+            (cal.INST, CP, C1, GLOBAL_GRAPH),
             (cal.TRIPLE, X, R, Y, CP),
         ),
     )
@@ -238,9 +237,7 @@ class Regime:
         return ("global", "assoc", "local")
 
 
-def instantiate_ruleset(
-    regime_id: str, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> Regime:
+def instantiate_ruleset(regime_id: str) -> Regime:
     if regime_id == "ckr-rdfs-global":
         return Regime(regime_id, subsumption_rules(), None)
     if regime_id == "ckr-owl-global":
@@ -248,5 +245,5 @@ def instantiate_ruleset(
     if regime_id == "ckr-rdfs-local":
         return Regime(regime_id, subsumption_rules(), subsumption_rules())
     if regime_id == "ckr-owl-local":
-        return Regime(regime_id, rl_rules(), rl_rules() + loc_rules(vocab))
+        return Regime(regime_id, rl_rules(), rl_rules() + loc_rules())
     raise ValueError(f"unknown regime id: {regime_id!r} (choose from {REGIME_IDS})")

@@ -26,7 +26,7 @@ from ckrbench.errors import GeneratorError
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import Axiom, axiom
 from ckrbench.model.encoding import BlankMinter, encode_axioms
-from ckrbench.namespaces import DEFAULT_VOCAB, GEN_NS, CkrVocabulary
+from ckrbench.namespaces import CTX_CLASS, GEN_NS, GLOBAL_GRAPH, MOD_PROPERTY
 from ckrbench.rdf.dataset import Dataset
 from ckrbench.rdf.terms import Term, iri
 
@@ -263,18 +263,10 @@ class GeneratedCkr:
         return len(self.global_axioms) + sum(len(a) for _, _, a in self.modules)
 
 
-def generate_ckr_axioms(
-    params: GenParams, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> GeneratedCkr:
+def generate_ckr_axioms(params: GenParams) -> GeneratedCkr:
     rng = random.Random(params.seed)
     n = params.n_contexts
-
-    structure: list[Axiom] = []
-    for i in range(n):
-        structure.append(axiom(ax.CONCEPT_ASSERT, vocab.ctx_class, context_term(i)))
-        structure.append(
-            axiom(ax.ROLE_ASSERT, vocab.mod_property, context_term(i), module_term(i))
-        )
+    structure = _ring_structure(n)
 
     taken_global: set[Axiom] = set()
     global_axioms = _draw_distinct(
@@ -343,25 +335,19 @@ def generate_ckr_axioms(
     return GeneratedCkr(params, structure, global_axioms, modules)
 
 
-def encode_generated(
-    gen: GeneratedCkr, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> Dataset:
+def encode_generated(gen: GeneratedCkr) -> Dataset:
     dataset = Dataset()
     encode_axioms(
-        dataset,
-        vocab.global_graph,
-        gen.structure + gen.global_axioms,
-        BlankMinter("g"),
-        vocab,
+        dataset, GLOBAL_GRAPH, gen.structure + gen.global_axioms, BlankMinter("g")
     )
     for i, (_, module, axioms) in enumerate(gen.modules):
-        encode_axioms(dataset, module, axioms, BlankMinter(f"m{i}x"), vocab)
+        encode_axioms(dataset, module, axioms, BlankMinter(f"m{i}x"))
     return dataset
 
 
-def generate_ckr(params: GenParams, vocab: CkrVocabulary = DEFAULT_VOCAB) -> Dataset:
+def generate_ckr(params: GenParams) -> Dataset:
     """Deterministic dataset for the given parameters."""
-    return encode_generated(generate_ckr_axioms(params, vocab), vocab)
+    return encode_generated(generate_ckr_axioms(params))
 
 
 # ---------------------------------------------------------------------------
@@ -408,24 +394,21 @@ def ts_individual(context: int, index: int) -> Term:
     return iri(f"{GEN_NS}x{context}_{index}")
 
 
-def _ring_structure(n: int, vocab: CkrVocabulary) -> list[Axiom]:
+def _ring_structure(n: int) -> list[Axiom]:
+    """Context declarations and module links of contexts 0..n-1."""
     out = []
     for i in range(n):
-        out.append(axiom(ax.CONCEPT_ASSERT, vocab.ctx_class, context_term(i)))
-        out.append(
-            axiom(ax.ROLE_ASSERT, vocab.mod_property, context_term(i), module_term(i))
-        )
+        out.append(axiom(ax.CONCEPT_ASSERT, CTX_CLASS, context_term(i)))
+        out.append(axiom(ax.ROLE_ASSERT, MOD_PROPERTY, context_term(i), module_term(i)))
     return out
 
 
-def build_ts2(
-    n: int, k: int, inst_per_context: int, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> Dataset:
+def build_ts2(n: int, k: int, inst_per_context: int) -> Dataset:
     """Eval-connected ring: context i imports D0 from its k successors."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"connections must satisfy 0 <= k <= n-1, got k={k}, n={n}")
     dataset = Dataset()
-    encode_axioms(dataset, vocab.global_graph, _ring_structure(n, vocab), BlankMinter("g"), vocab)
+    encode_axioms(dataset, GLOBAL_GRAPH, _ring_structure(n), BlankMinter("g"))
     d0, d1 = propagated_concept(), target_concept()
     for i in range(n):
         axioms = [
@@ -436,19 +419,17 @@ def build_ts2(
             axiom(ax.EVAL_SUB_CLASS, d0, context_term((i + t) % n), d1, nominal_ctx=True)
             for t in range(1, k + 1)
         ]
-        encode_axioms(dataset, module_term(i), axioms, BlankMinter(f"m{i}x"), vocab)
+        encode_axioms(dataset, module_term(i), axioms, BlankMinter(f"m{i}x"))
     return dataset
 
 
-def build_ts3(
-    n: int, k: int, inst_per_context: int, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> Dataset:
+def build_ts3(n: int, k: int, inst_per_context: int) -> Dataset:
     """Connection-free counterpart of ts2: one D0 copy per source context,
     subclass axioms instead of eval, instances re-asserted in every importer."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"connections must satisfy 0 <= k <= n-1, got k={k}, n={n}")
     dataset = Dataset()
-    encode_axioms(dataset, vocab.global_graph, _ring_structure(n, vocab), BlankMinter("g"), vocab)
+    encode_axioms(dataset, GLOBAL_GRAPH, _ring_structure(n), BlankMinter("g"))
     d1 = target_concept()
     for i in range(n):
         axioms = [
@@ -462,7 +443,7 @@ def build_ts3(
                 axiom(ax.CONCEPT_ASSERT, propagated_concept(j), ts_individual(j, m))
                 for m in range(inst_per_context)
             ]
-        encode_axioms(dataset, module_term(i), axioms, BlankMinter(f"m{i}x"), vocab)
+        encode_axioms(dataset, module_term(i), axioms, BlankMinter(f"m{i}x"))
     return dataset
 
 

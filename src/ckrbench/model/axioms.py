@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ckrbench.rdf.terms import Term, term_key
+from ckrbench.rdf.terms import Term
 
 # TBox
 SUB_CLASS = "SubClass"  # A <= B
@@ -103,9 +103,6 @@ class Axiom:
     @property
     def is_assertion(self) -> bool:
         return self.shape in (CONCEPT_ASSERT, ROLE_ASSERT)
-
-    def sort_key(self):
-        return (self.shape, tuple(term_key(t) for t in self.args), self.nominal_ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(repr(a) for a in self.args)

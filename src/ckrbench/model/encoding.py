@@ -42,8 +42,9 @@ from ckrbench.model.axioms import (
     axiom,
 )
 from ckrbench.namespaces import (
-    CKR_NS,
-    DEFAULT_VOCAB,
+    EVAL_IN,
+    EVAL_OF,
+    MOD_PROPERTY,
     OWL_ALLVALUESFROM,
     OWL_ASSERTIONPROPERTY,
     OWL_COMPLEMENTOF,
@@ -75,7 +76,7 @@ from ckrbench.namespaces import (
     RDFS_SUBPROPERTYOF,
     SKOLEM_NS,
     XSD_NONNEGATIVEINTEGER,
-    CkrVocabulary,
+    is_meta_term,
 )
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import Term, blank, iri, literal
@@ -95,9 +96,6 @@ class BlankMinter:
 
     def __call__(self) -> Term:
         return blank(f"{self.prefix}{next(self.counter)}")
-
-
-_default_minter = BlankMinter(prefix="ax")
 
 
 def skolem_minter(*parts: str) -> Minter:
@@ -120,11 +118,8 @@ def _is_aux(t: Term) -> bool:
     return t.kind == "blank" or (t.kind == "iri" and t.lexical.startswith(SKOLEM_NS))
 
 
-def encode_axiom(
-    ax: Axiom, mint: Minter | None = None, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> list[Triple]:
+def encode_axiom(ax: Axiom, mint: Minter) -> list[Triple]:
     """Triples encoding one axiom (auxiliary nodes from ``mint``)."""
-    mint = mint or _default_minter
     a = ax.args
     shape = ax.shape
     if shape == SUB_CLASS:
@@ -211,17 +206,17 @@ def encode_axiom(
     if shape in (EVAL_SUB_CLASS, EVAL_SUB_ROLE):
         n = mint()
         link = RDFS_SUBCLASSOF if shape == EVAL_SUB_CLASS else RDFS_SUBPROPERTYOF
-        triples = [(n, vocab.eval_of, a[0]), (n, link, a[2])]
+        triples = [(n, EVAL_OF, a[0]), (n, link, a[2])]
         if ax.nominal_ctx:
             m, cell = mint(), mint()
             triples += [
-                (n, vocab.eval_in, m),
+                (n, EVAL_IN, m),
                 (m, OWL_ONEOF, cell),
                 (cell, RDF_FIRST, a[1]),
                 (cell, RDF_REST, RDF_NIL),
             ]
         else:
-            triples.append((n, vocab.eval_in, a[1]))
+            triples.append((n, EVAL_IN, a[1]))
         return triples
     raise ValueError(f"unknown axiom shape: {shape!r}")  # pragma: no cover
 
@@ -230,15 +225,11 @@ def encode_axioms(
     dataset: Dataset,
     graph: Term,
     axioms: Iterable[Axiom],
-    mint: Minter | None = None,
-    vocab: CkrVocabulary = DEFAULT_VOCAB,
+    mint: Minter,
 ) -> int:
     """Encode axioms into one named graph; returns new-quad count."""
-    mint = mint or _default_minter
     quads = [
-        Quad(s, p, o, graph)
-        for ax in axioms
-        for (s, p, o) in encode_axiom(ax, mint, vocab)
+        Quad(s, p, o, graph) for ax in axioms for (s, p, o) in encode_axiom(ax, mint)
     ]
     dataset.declare_graph(graph)
     return dataset.add_quads(quads)
@@ -273,8 +264,8 @@ _COMPONENT_PREDICATES = {
     OWL_TARGETINDIVIDUAL,
     RDF_FIRST,
     RDF_REST,
-    DEFAULT_VOCAB.eval_of,
-    DEFAULT_VOCAB.eval_in,
+    EVAL_OF,
+    EVAL_IN,
 }
 
 
@@ -333,7 +324,6 @@ def parse_axioms(
     dataset: Dataset,
     graph: Term,
     warnings: list[str] | None = None,
-    vocab: CkrVocabulary = DEFAULT_VOCAB,
 ) -> set[Axiom]:
     """Decode one named graph into its normal-form axioms."""
     view = _GraphView(dataset, graph)
@@ -344,9 +334,9 @@ def parse_axioms(
         return EncodingError(f"{msg} (node {node!r}, graph {graph!r})")
 
     _decode_negative_assertions(view, axioms, err)
-    _decode_subsumptions(view, axioms, warn, err, vocab)
+    _decode_subsumptions(view, axioms, warn, err)
     _decode_role_axioms(view, axioms, warn)
-    _decode_assertions(view, axioms, warn, vocab)
+    _decode_assertions(view, axioms, warn)
     return axioms
 
 
@@ -363,15 +353,15 @@ def _decode_negative_assertions(view: _GraphView, axioms, err) -> None:
         view.consume(q, src, prop, tgt)
 
 
-def _decode_restriction(view, node, props, err):
-    """(onProperty, filler kind, filler quads) of a restriction node."""
+def _decode_restriction(view, node, err) -> Quad:
+    """The ``owl:onProperty`` quad of a restriction node."""
     on_prop = view.single(node, OWL_ONPROPERTY)
     if on_prop is None:
         raise err("restriction is missing owl:onProperty", node)
     return on_prop
 
 
-def _decode_subsumptions(view, axioms, warn, err, vocab) -> None:
+def _decode_subsumptions(view, axioms, warn, err) -> None:
     for q in list(view.by_p.get(RDFS_SUBCLASSOF, ())):
         if q in view.consumed:
             continue
@@ -389,19 +379,19 @@ def _decode_subsumptions(view, axioms, warn, err, vocab) -> None:
                 view.consume(q, comp)
                 continue
             if OWL_HASVALUE in props:
-                on_prop = _decode_restriction(view, sup, props, err)
+                on_prop = _decode_restriction(view, sup, err)
                 value = props[OWL_HASVALUE][0]
                 axioms.add(axiom(SUB_HAS_VALUE, sub, on_prop.o, value.o))
                 view.consume(q, on_prop, value, *(props.get(RDF_TYPE, ())))
                 continue
             if OWL_ALLVALUESFROM in props:
-                on_prop = _decode_restriction(view, sup, props, err)
+                on_prop = _decode_restriction(view, sup, err)
                 filler = props[OWL_ALLVALUESFROM][0]
                 axioms.add(axiom(SUP_ALL, sub, on_prop.o, filler.o))
                 view.consume(q, on_prop, filler, *(props.get(RDF_TYPE, ())))
                 continue
             if OWL_MAXQUALIFIEDCARDINALITY in props:
-                on_prop = _decode_restriction(view, sup, props, err)
+                on_prop = _decode_restriction(view, sup, err)
                 card = props[OWL_MAXQUALIFIEDCARDINALITY][0]
                 on_class = props.get(OWL_ONCLASS)
                 if card.o.kind != "literal" or card.o.lexical != "1":
@@ -417,10 +407,8 @@ def _decode_subsumptions(view, axioms, warn, err, vocab) -> None:
             continue
         if _is_aux(sub):
             props = view.props(sub)
-            if vocab.eval_of in props or vocab.eval_in in props:
-                axioms.add(
-                    _decode_eval(view, q, sub, props, EVAL_SUB_CLASS, err, vocab)
-                )
+            if EVAL_OF in props or EVAL_IN in props:
+                axioms.add(_decode_eval(view, q, sub, props, EVAL_SUB_CLASS, err))
                 continue
             if OWL_INTERSECTIONOF in props:
                 list_q = props[OWL_INTERSECTIONOF][0]
@@ -435,7 +423,7 @@ def _decode_subsumptions(view, axioms, warn, err, vocab) -> None:
                 view.consume(q, list_q, *spent)
                 continue
             if OWL_SOMEVALUESFROM in props:
-                on_prop = _decode_restriction(view, sub, props, err)
+                on_prop = _decode_restriction(view, sub, err)
                 filler = props[OWL_SOMEVALUESFROM][0]
                 axioms.add(axiom(SUB_EX, on_prop.o, filler.o, sup))
                 view.consume(q, on_prop, filler, *(props.get(RDF_TYPE, ())))
@@ -451,17 +439,17 @@ def _decode_subsumptions(view, axioms, warn, err, vocab) -> None:
             view.consume(q)
         elif _is_aux(sub):
             props = view.props(sub)
-            if vocab.eval_of in props or vocab.eval_in in props:
-                axioms.add(_decode_eval(view, q, sub, props, EVAL_SUB_ROLE, err, vocab))
+            if EVAL_OF in props or EVAL_IN in props:
+                axioms.add(_decode_eval(view, q, sub, props, EVAL_SUB_ROLE, err))
             else:
                 warn(f"unsupported property inclusion at {sub!r}")
         else:
             warn(f"unsupported property inclusion {sub!r} -> {sup!r}")
 
 
-def _decode_eval(view, link_q, node, props, shape, err, vocab) -> Axiom:
-    of = props.get(vocab.eval_of)
-    in_ = props.get(vocab.eval_in)
+def _decode_eval(view, link_q, node, props, shape, err) -> Axiom:
+    of = props.get(EVAL_OF)
+    in_ = props.get(EVAL_IN)
     if not of or not in_:
         raise err("eval encoding is missing a component", node)
     view.consume(link_q, of[0], in_[0])
@@ -502,7 +490,7 @@ def _decode_role_axioms(view, axioms, warn) -> None:
         view.consume(q, *spent)
 
 
-def _decode_assertions(view, axioms, warn, vocab) -> None:
+def _decode_assertions(view, axioms, warn) -> None:
     reserved = (RDF_NS, RDFS_NS, OWL_NS)
     for q in view.quads:
         if q in view.consumed:
@@ -525,7 +513,7 @@ def _decode_assertions(view, axioms, warn, vocab) -> None:
         if q.p.lexical.startswith(reserved):
             warn(f"unrecognized reserved-vocabulary triple {q.s!r} {q.p!r} {q.o!r}")
             continue
-        if q.p.lexical.startswith(CKR_NS) and q.p != vocab.mod_property:
+        if is_meta_term(q.p) and q.p != MOD_PROPERTY:
             # contextual attributes and relations stay inert meta-triples
             continue
         if q.o.kind == "literal":

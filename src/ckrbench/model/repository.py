@@ -16,7 +16,7 @@ from typing import Iterable
 from ckrbench.errors import AssemblyError
 from ckrbench.model.axioms import Axiom
 from ckrbench.model.encoding import parse_axioms
-from ckrbench.namespaces import DEFAULT_VOCAB, NOMINAL_NS, CkrVocabulary
+from ckrbench.namespaces import GLOBAL_GRAPH, MOD_PROPERTY, inference_graph, is_meta_term
 from ckrbench.rdf.dataset import Dataset
 from ckrbench.rdf.terms import Term
 
@@ -27,18 +27,13 @@ class KnowledgeModule:
     axioms: frozenset[Axiom]
 
 
-def is_meta_axiom(ax: Axiom, vocab: CkrVocabulary = DEFAULT_VOCAB) -> bool:
+def is_meta_axiom(ax: Axiom) -> bool:
     """Meta-level axioms describe context structure and are not propagated."""
-    return any(
-        vocab.is_meta_term(t)
-        or (t.kind == "iri" and t.lexical.startswith(NOMINAL_NS))
-        for t in ax.args
-    )
+    return any(is_meta_term(t) for t in ax.args)
 
 
 @dataclass
 class CkrRepository:
-    vocab: CkrVocabulary
     dataset: Dataset
     global_axioms: frozenset[Axiom]
     modules: dict[Term, KnowledgeModule]
@@ -57,7 +52,7 @@ class CkrRepository:
 
     def global_object_axioms(self) -> list[Axiom]:
         """Global axioms in the object language (the ones contexts inherit)."""
-        return [ax for ax in self.global_axioms if not is_meta_axiom(ax, self.vocab)]
+        return [ax for ax in self.global_axioms if not is_meta_axiom(ax)]
 
     def object_axiom_count(self) -> int:
         """Domain axioms only: generated totals are checked against this."""
@@ -66,18 +61,16 @@ class CkrRepository:
         )
 
 
-def assemble_repository(
-    dataset: Dataset, vocab: CkrVocabulary = DEFAULT_VOCAB
-) -> CkrRepository:
+def assemble_repository(dataset: Dataset) -> CkrRepository:
     warnings: list[str] = []
-    global_graphs = [vocab.global_graph]
-    global_inf = vocab.inference_graph(vocab.global_graph)
+    global_graphs = [GLOBAL_GRAPH]
+    global_inf = inference_graph(GLOBAL_GRAPH)
     if dataset.has_graph(global_inf):
         global_graphs.append(global_inf)
 
     global_axioms: set[Axiom] = set()
     for g in global_graphs:
-        global_axioms |= parse_axioms(dataset, g, warnings, vocab)
+        global_axioms |= parse_axioms(dataset, g, warnings)
     for ax in global_axioms:
         if ax.is_eval:
             raise AssemblyError(
@@ -87,7 +80,7 @@ def assemble_repository(
 
     referenced: set[Term] = set()
     for g in global_graphs:
-        for quad in dataset.match(p=vocab.mod_property, g=g):
+        for quad in dataset.match(p=MOD_PROPERTY, g=g):
             target = quad.o
             if target.kind != "iri":
                 raise AssemblyError(f"module name must be an IRI: {target!r}")
@@ -107,13 +100,12 @@ def assemble_repository(
             continue
         modules[name] = KnowledgeModule(
             name=name,
-            axioms=frozenset(parse_axioms(dataset, name, warnings, vocab)),
+            axioms=frozenset(parse_axioms(dataset, name, warnings)),
         )
         if name not in referenced:
             warnings.append(f"module graph {name!r} is unreachable (no module link)")
 
     return CkrRepository(
-        vocab=vocab,
         dataset=dataset,
         global_axioms=frozenset(global_axioms),
         modules=modules,

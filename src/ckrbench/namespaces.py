@@ -1,12 +1,14 @@
 """Namespace constants and the contextual meta-vocabulary.
 
-All fixtures use two conventional prefixes: ``ckr:`` for the meta-vocabulary
-(context class, module link, eval encoding, inconsistency marker) and ``:``
-for generated domain symbols.
+The meta-vocabulary is fixed: the global graph ``ckr:global``, the context
+class ``ckr:Ctx``, the module link ``ckr:mod``, the eval encoding
+``ckr:evalOf``/``ckr:evalIn``, the inconsistency marker ``ckr:Inconsistent``
+and the ``-inf`` suffix of inference graphs.  Every module reads these
+constants; ``is_meta_term`` alone decides which IRIs are meta.  Generated
+domain symbols use the ``:`` prefix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from urllib.parse import quote
 
 from ckrbench.rdf.terms import Term, iri
@@ -78,48 +80,28 @@ STANDARD_PREFIXES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class CkrVocabulary:
-    """The fixed meta-vocabulary of one repository run.
+#: The fixed CKR meta-vocabulary.  ``GLOBAL_GRAPH`` doubles as the name of
+#: the default graph: plain Turtle input therefore lands in the global context.
+GLOBAL_GRAPH = iri(CKR_NS + "global")
+CTX_CLASS = iri(CKR_NS + "Ctx")
+MOD_PROPERTY = iri(CKR_NS + "mod")
+EVAL_OF = iri(CKR_NS + "evalOf")
+EVAL_IN = iri(CKR_NS + "evalIn")
+INCONSISTENT_CLASS = iri(CKR_NS + "Inconsistent")
 
-    ``global_graph`` doubles as the name of the default graph: plain Turtle
-    input therefore lands in the global context.
+
+def inference_graph(graph: Term) -> Term:
+    return iri(graph.lexical + INFERENCE_SUFFIX)
+
+
+def nominal_class(context: Term) -> Term:
+    """Synthetic class standing for the singleton context set {context}.
+
+    Deterministic in the context name, so repeated translations agree.
     """
-
-    ctx_class: Term = iri(CKR_NS + "Ctx")
-    mod_property: Term = iri(CKR_NS + "mod")
-    global_graph: Term = iri(CKR_NS + "global")
-    eval_of: Term = iri(CKR_NS + "evalOf")
-    eval_in: Term = iri(CKR_NS + "evalIn")
-    inconsistent_class: Term = iri(CKR_NS + "Inconsistent")
-
-    def __post_init__(self) -> None:
-        terms = (
-            self.ctx_class,
-            self.mod_property,
-            self.global_graph,
-            self.eval_of,
-            self.eval_in,
-            self.inconsistent_class,
-        )
-        if len(set(terms)) != len(terms):
-            raise ValueError("meta-vocabulary IRIs must be pairwise distinct")
-
-    def inference_graph(self, graph: Term) -> Term:
-        return iri(graph.lexical + INFERENCE_SUFFIX)
-
-    def nominal_class(self, context: Term) -> Term:
-        """Synthetic class standing for the singleton context set {context}.
-
-        Deterministic in the context name, so repeated translations agree.
-        """
-        return iri(NOMINAL_NS + quote(context.lexical, safe=""))
-
-    def is_meta_term(self, term: Term) -> bool:
-        return term.kind == "iri" and term.lexical.startswith(CKR_NS)
+    return iri(NOMINAL_NS + quote(context.lexical, safe=""))
 
 
-DEFAULT_VOCAB = CkrVocabulary()
-
-#: Reserved name of the default graph (see CkrVocabulary.global_graph).
-DEFAULT_GRAPH = DEFAULT_VOCAB.global_graph
+def is_meta_term(term: Term) -> bool:
+    """True for the ``ckr:`` meta-vocabulary and the synthetic nominal classes."""
+    return term.kind == "iri" and term.lexical.startswith((CKR_NS, NOMINAL_NS))

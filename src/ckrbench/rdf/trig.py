@@ -23,7 +23,7 @@ from typing import IO, Iterable
 
 from ckrbench.errors import ParseError, SerializationError
 from ckrbench.namespaces import (
-    DEFAULT_GRAPH,
+    GLOBAL_GRAPH,
     INFERENCE_SUFFIX,
     RDF_FIRST,
     RDF_NIL,
@@ -125,7 +125,7 @@ class _Parser:
         self.base: str | None = None
         self.dataset = Dataset()
         self.quads: list[Quad] = []  # inserted in one batch at the end
-        self.current_graph = DEFAULT_GRAPH
+        self.current_graph = GLOBAL_GRAPH
         # Blank-node housekeeping: anonymous nodes get labels that avoid every
         # explicitly written label; explicit labels are kept verbatim and may
         # not span two named graphs.

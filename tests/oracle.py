@@ -15,7 +15,7 @@ from collections import defaultdict
 
 from ckrbench.calculus import translate_axiom, translate_rl
 from ckrbench.model.repository import assemble_repository
-from ckrbench.namespaces import CKR_NS, DEFAULT_VOCAB, NOMINAL_NS
+from ckrbench.namespaces import CKR_NS, CTX_CLASS, GLOBAL_GRAPH, MOD_PROPERTY, NOMINAL_NS
 from ckrbench.rdf.dataset import Dataset
 
 _RDFS_STAGE = "rdfs"
@@ -167,11 +167,11 @@ def _saturate(facts: dict[str, set], stage: str, with_eval: bool, g) -> None:
             return
 
 
-def naive_closure(dataset: Dataset, regime_id: str, vocab=DEFAULT_VOCAB) -> frozenset:
+def naive_closure(dataset: Dataset, regime_id: str) -> frozenset:
     """All facts (asserted and derived) of the closure, as (relation, *terms)."""
     global_stage, local_stage, with_eval = _REGIMES[regime_id]
-    repo = assemble_repository(dataset, vocab)
-    g = vocab.global_graph
+    repo = assemble_repository(dataset)
+    g = GLOBAL_GRAPH
 
     facts: dict[str, set] = defaultdict(set)
 
@@ -186,19 +186,19 @@ def naive_closure(dataset: Dataset, regime_id: str, vocab=DEFAULT_VOCAB) -> froz
     contexts = {
         args[0]
         for args in facts["inst"]
-        if args[1] == vocab.ctx_class and args[2] == g
+        if args[1] == CTX_CLASS and args[2] == g
     }
     assoc = {
         (args[0], args[2])
         for args in facts["triple"]
-        if args[1] == vocab.mod_property and args[3] == g and args[0] in contexts
+        if args[1] == MOD_PROPERTY and args[3] == g and args[0] in contexts
     }
 
     if local_stage is not None:
         propagated = [a for a in repo.global_axioms if not _mentions_meta(a)]
         for (c, m) in assoc:
             for axiom in repo.modules[m].axioms:
-                store(translate_axiom(axiom, c, vocab))
+                store(translate_axiom(axiom, c))
         for c in contexts:
             for axiom in propagated:
                 store(translate_rl(axiom, c))

@@ -11,7 +11,7 @@ from ckrbench.model.encoding import (
     parse_axioms,
     skolem_minter,
 )
-from ckrbench.namespaces import DEFAULT_GRAPH, OWL_IRREFLEXIVEPROPERTY, RDF_TYPE
+from ckrbench.namespaces import OWL_IRREFLEXIVEPROPERTY, RDF_TYPE
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.trig import load_dataset, write_dataset
 from util import gen, trig
@@ -78,7 +78,7 @@ def test_parse_eval_inclusion_with_nominal():
 
 
 def test_encode_irreflexive_role():
-    assert encode_axiom(axiom(ax.IRR_ROLE, R0)) == [
+    assert encode_axiom(axiom(ax.IRR_ROLE, R0), BlankMinter()) == [
         (R0, RDF_TYPE, OWL_IRREFLEXIVEPROPERTY)
     ]
 

@@ -52,6 +52,23 @@ def test_bench_file_rows_and_average(ts2_dir):
     assert len({(r.asserted, r.inferred) for r in runs}) == 1
 
 
+def test_bench_file_assembles_the_repository_once(ts2_dir, monkeypatch):
+    import ckrbench.bench
+
+    calls = []
+    assemble = ckrbench.bench.assemble_repository
+
+    def counting(dataset):
+        calls.append(dataset)
+        return assemble(dataset)
+
+    monkeypatch.setattr(ckrbench.bench, "assemble_repository", counting)
+    regimes = ["ckr-rdfs-local", "ckr-owl-local"]
+    records = bench_file(ts2_dir / "ts2-n10-k1.trig", regimes, runs=3)
+    assert len(records) == 2 * (3 + 1)
+    assert len(calls) == 1
+
+
 def test_bench_rows_expose_propagation_law(ts2_dir):
     records = bench_suite(ts2_dir, ["ckr-owl-local"], runs=1)
     inferred = {

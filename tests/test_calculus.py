@@ -7,14 +7,14 @@ from ckrbench.generator import build_ts2
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.repository import assemble_repository
-from ckrbench.namespaces import DEFAULT_VOCAB
+from ckrbench.namespaces import CTX_CLASS, GLOBAL_GRAPH, MOD_PROPERTY, nominal_class
 from util import gen, trig
 
 A0, A1, A2 = gen("A0"), gen("A1"), gen("A2")
 R0, R1, R2 = gen("R0"), gen("R1"), gen("R2")
 a0, a1 = gen("a0"), gen("a1")
 c0 = gen("c0")
-G = DEFAULT_VOCAB.global_graph
+G = GLOBAL_GRAPH
 
 
 def test_translate_subclass():
@@ -86,7 +86,7 @@ def test_translate_loc_nominal_expands():
     facts = cal.translate_loc(
         axiom(ax.EVAL_SUB_CLASS, gen("D0"), c1, gen("D1"), nominal_ctx=True), c0
     )
-    synthetic = DEFAULT_VOCAB.nominal_class(c1)
+    synthetic = nominal_class(c1)
     assert facts == {
         ("subEval", gen("D0"), synthetic, gen("D1"), c0),
         ("inst", c1, synthetic, G),
@@ -111,14 +111,14 @@ def _global_facts(repo):
 def test_global_axioms_translate_context_declarations_and_module_links():
     repo = assemble_repository(trig("ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . } :m0 { }"))
     assert _global_facts(repo) == {
-        ("inst", c0, DEFAULT_VOCAB.ctx_class, G),
-        ("triple", c0, DEFAULT_VOCAB.mod_property, gen("m0"), G),
+        ("inst", c0, CTX_CLASS, G),
+        ("triple", c0, MOD_PROPERTY, gen("m0"), G),
     }
 
 
 def test_global_axioms_translate_ts2_structure_counts():
     facts = _global_facts(assemble_repository(build_ts2(100, 0, 0)))
-    ctx_decls = [f for f in facts if f[0] == "inst" and f[2] == DEFAULT_VOCAB.ctx_class]
+    ctx_decls = [f for f in facts if f[0] == "inst" and f[2] == CTX_CLASS]
     mod_links = [f for f in facts if f[0] == "triple"]
     assert len(ctx_decls) == 100
     assert len(mod_links) == 100

@@ -18,13 +18,21 @@ from ckrbench.generator import (
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.repository import assemble_repository
-from ckrbench.namespaces import DEFAULT_VOCAB, RDF_TYPE
+from ckrbench.namespaces import (
+    CTX_CLASS,
+    GLOBAL_GRAPH,
+    INCONSISTENT_CLASS,
+    MOD_PROPERTY,
+    RDF_TYPE,
+    inference_graph,
+    nominal_class,
+)
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import iri
 from ckrbench.rdf.trig import load_dataset, write_dataset
 from util import gen, trig
 
-G = DEFAULT_VOCAB.global_graph
+G = GLOBAL_GRAPH
 OWL_LOCAL = instantiate_ruleset("ckr-owl-local")
 
 
@@ -66,15 +74,15 @@ def test_three_context_eval_chain_matches_hand_enumeration():
     )
     result = closure(d)
     c0, c1, c2 = gen("c0"), gen("c1"), gen("c2")
-    nom = DEFAULT_VOCAB.nominal_class
+    nom = nominal_class
     expected = {
         # global structure
-        ("inst", c0, DEFAULT_VOCAB.ctx_class, G),
-        ("inst", c1, DEFAULT_VOCAB.ctx_class, G),
-        ("inst", c2, DEFAULT_VOCAB.ctx_class, G),
-        ("triple", c0, DEFAULT_VOCAB.mod_property, gen("m0"), G),
-        ("triple", c1, DEFAULT_VOCAB.mod_property, gen("m1"), G),
-        ("triple", c2, DEFAULT_VOCAB.mod_property, gen("m2"), G),
+        ("inst", c0, CTX_CLASS, G),
+        ("inst", c1, CTX_CLASS, G),
+        ("inst", c2, CTX_CLASS, G),
+        ("triple", c0, MOD_PROPERTY, gen("m0"), G),
+        ("triple", c1, MOD_PROPERTY, gen("m1"), G),
+        ("triple", c2, MOD_PROPERTY, gen("m2"), G),
         # local translations
         ("subEval", gen("D1"), nom(c1), gen("D2"), c0),
         ("subEval", gen("D0"), nom(c2), gen("D1"), c1),
@@ -102,17 +110,17 @@ def test_global_propagation_reaches_every_context():
         Quad(gen("a0"), RDF_TYPE, gen("A1"), None),
     }
     for ctx in ("c0", "c1"):
-        target = DEFAULT_VOCAB.inference_graph(gen(ctx))
+        target = inference_graph(gen(ctx))
         got = {q._replace(g=None) for q in result.inference_quads if q.g == target}
         assert got == expected_per_context
-    g_inf = DEFAULT_VOCAB.inference_graph(G)
+    g_inf = inference_graph(G)
     global_quads = [q for q in result.inference_quads if q.g == g_inf]
     derived = [q for q in global_quads if q.p == RDF_TYPE]
-    links = [q for q in global_quads if q.p == DEFAULT_VOCAB.mod_property]
+    links = [q for q in global_quads if q.p == MOD_PROPERTY]
     assert {(q.s, q.o) for q in derived} == {(gen("a0"), gen("A1"))}
     assert {(q.s, q.o) for q in links} == {
-        (gen("c0"), DEFAULT_VOCAB.inference_graph(gen("c0"))),
-        (gen("c1"), DEFAULT_VOCAB.inference_graph(gen("c1"))),
+        (gen("c0"), inference_graph(gen("c0"))),
+        (gen("c1"), inference_graph(gen("c1"))),
     }
     assert result.inferred_quad_count == 3 + 3 + 1 + 2
 
@@ -146,8 +154,8 @@ def test_inconsistency_is_flagged_but_not_explosive():
     # and the sibling context is untouched
     assert ("unsat", gen("c1")) not in result.facts
     marker = Quad(
-        gen("c0"), RDF_TYPE, DEFAULT_VOCAB.inconsistent_class,
-        DEFAULT_VOCAB.inference_graph(gen("c0")),
+        gen("c0"), RDF_TYPE, INCONSISTENT_CLASS,
+        inference_graph(gen("c0")),
     )
     assert marker in result.inference_quads
 
@@ -286,7 +294,7 @@ def test_entailment_in_the_global_context():
     d = trig("ckr:global { :a0 a :A0 . :A0 rdfs:subClassOf :A1 . }")
     repo = assemble_repository(d)
     derived = axiom(ax.CONCEPT_ASSERT, gen("A1"), gen("a0"))
-    assert check_entailment(repo, derived, DEFAULT_VOCAB.global_graph, OWL_LOCAL)
+    assert check_entailment(repo, derived, GLOBAL_GRAPH, OWL_LOCAL)
 
 
 def test_shared_module_reasons_in_every_attached_context():
@@ -351,7 +359,7 @@ def test_fact_view_match():
     # c0 declared, c0 linked, a0:A1 in both contexts, a0:A0 and a1:A0 in c0
     assert len(facts) == len(list(facts)) == len(facts.as_set()) == 6
     assert facts.relation("triple") == {
-        ("triple", c0, DEFAULT_VOCAB.mod_property, gen("m0"), G)
+        ("triple", c0, MOD_PROPERTY, gen("m0"), G)
     }
 
 

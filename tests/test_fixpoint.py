@@ -13,12 +13,12 @@ import pytest
 
 from ckrbench.engine.fixpoint import FactStore, compile_rules, run_fixpoint
 from ckrbench.engine.rules import loc_rules, rl_rules, subsumption_rules
-from ckrbench.namespaces import DEFAULT_VOCAB
+from ckrbench.namespaces import GLOBAL_GRAPH
 from ckrbench.rdf.terms import TermTable
 from oracle import _saturate
 from util import gen
 
-G = DEFAULT_VOCAB.global_graph
+G = GLOBAL_GRAPH
 RULES = {r.name: r for r in rl_rules() + loc_rules()}
 
 

@@ -7,7 +7,7 @@ from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.encoding import parse_axioms
 from ckrbench.model.repository import assemble_repository, is_meta_axiom
-from ckrbench.namespaces import DEFAULT_VOCAB
+from ckrbench.namespaces import CTX_CLASS, MOD_PROPERTY, nominal_class
 from ckrbench.rdf.dataset import Dataset
 from util import gen, trig
 
@@ -63,11 +63,9 @@ def test_unreachable_module_warns():
 
 
 def test_meta_axiom_classification():
-    vocab = DEFAULT_VOCAB
-    assert is_meta_axiom(axiom(ax.CONCEPT_ASSERT, vocab.ctx_class, gen("c0")))
-    assert is_meta_axiom(
-        axiom(ax.ROLE_ASSERT, vocab.mod_property, gen("c0"), gen("m0"))
-    )
+    assert is_meta_axiom(axiom(ax.CONCEPT_ASSERT, CTX_CLASS, gen("c0")))
+    assert is_meta_axiom(axiom(ax.ROLE_ASSERT, MOD_PROPERTY, gen("c0"), gen("m0")))
+    assert is_meta_axiom(axiom(ax.CONCEPT_ASSERT, nominal_class(gen("c1")), gen("c1")))
     assert not is_meta_axiom(axiom(ax.SUB_CLASS, gen("A0"), gen("A1")))
     assert not is_meta_axiom(axiom(ax.CONCEPT_ASSERT, gen("A0"), gen("a0")))
 

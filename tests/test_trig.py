@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from ckrbench.errors import ParseError, SerializationError
-from ckrbench.namespaces import DEFAULT_GRAPH, XSD_INTEGER
+from ckrbench.namespaces import GLOBAL_GRAPH, XSD_INTEGER
 from ckrbench.rdf.dataset import Quad
 from ckrbench.rdf.terms import blank, iri, literal
 from ckrbench.rdf.trig import load_dataset, write_dataset
@@ -27,7 +27,7 @@ def test_single_graph_block():
 
 def test_default_graph_is_global():
     d = trig(":a0 :R0 :a1 .")
-    assert next(iter(d)).g == DEFAULT_GRAPH
+    assert next(iter(d)).g == GLOBAL_GRAPH
 
 
 def test_graph_keyword_and_empty_graph():
