@@ -11,7 +11,6 @@ import csv
 import logging
 import re
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -141,34 +140,19 @@ def average_record(run_records: Sequence[BenchRecord]) -> BenchRecord:
     )
 
 
-def _bench_file_task(args) -> list[BenchRecord]:
-    return bench_file(*args)
-
-
 def bench_suite(
     suite_dir: str | Path,
     regime_ids: Sequence[str],
     runs: int = 3,
     timeout_millis: int = DEFAULT_BUDGET_MILLIS,
-    parallel: int = 0,
 ) -> list[BenchRecord]:
-    """Benchmark every .trig file in a directory.
-
-    ``parallel`` > 1 distributes *files* over worker processes; a timed run
-    is never split.
-    """
+    """Benchmark every .trig file in a directory."""
     files = sorted(Path(suite_dir).glob("*.trig"))
     if not files:
         raise FileNotFoundError(f"no .trig files under {suite_dir}")
-    tasks = [(f, tuple(regime_ids), runs, timeout_millis) for f in files]
     records: list[BenchRecord] = []
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for result in pool.map(_bench_file_task, tasks):
-                records.extend(result)
-    else:
-        for task in tasks:
-            records.extend(_bench_file_task(task))
+    for f in files:
+        records.extend(bench_file(f, regime_ids, runs, timeout_millis))
     return records
 
 

@@ -160,7 +160,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         regimes,
         runs=args.runs,
         timeout_millis=args.timeout_ms,
-        parallel=args.parallel,
     )
     write_csv(records, args.csv)
     print(f"{len(records)} rows written to {args.csv}")
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--timeout-ms", type=int, default=DEFAULT_BUDGET_MILLIS)
     p.add_argument("--csv", required=True)
-    p.add_argument("--parallel", type=int, default=0, help="worker processes (per file)")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -274,9 +274,7 @@ class _GraphView:
 
     def __init__(self, dataset: Dataset, graph: Term) -> None:
         self.graph = graph
-        self.quads = sorted(
-            dataset.graph(graph), key=lambda q: (str(q.p), str(q.s), str(q.o))
-        )
+        self.quads = sorted(dataset.graph(graph))
         self.by_s: dict[Term, list[Quad]] = {}
         self.by_p: dict[Term, list[Quad]] = {}
         for q in self.quads:

@@ -1,7 +1,7 @@
 """RDF terms, quads, the named-graph store and TriG/Turtle I/O."""
 
 from ckrbench.rdf.dataset import Dataset, Quad
-from ckrbench.rdf.terms import Term, TermTable, blank, iri, literal, term_key
+from ckrbench.rdf.terms import Term, TermTable, blank, iri, literal
 
 __all__ = [
     "Dataset",
@@ -11,5 +11,4 @@ __all__ = [
     "blank",
     "iri",
     "literal",
-    "term_key",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Iterator, NamedTuple
 
-from ckrbench.rdf.terms import Term, term_key
+from ckrbench.rdf.terms import Term
 
 
 class Quad(NamedTuple):
@@ -24,10 +24,6 @@ class Quad(NamedTuple):
     p: Term
     o: Term
     g: Term
-
-
-def _quad_key(q: Quad):
-    return (term_key(q.s), term_key(q.p), term_key(q.o), term_key(q.g))
 
 
 class Dataset:
@@ -89,7 +85,7 @@ class Dataset:
             return list(self._quads)
 
     def graph_names(self) -> list[Term]:
-        return sorted(self._declared_graphs, key=term_key)
+        return sorted(self._declared_graphs)
 
     def has_graph(self, g: Term) -> bool:
         return g in self._declared_graphs
@@ -108,7 +104,7 @@ class Dataset:
         o: Term | None = None,
         g: Term | None = None,
     ) -> list[Quad]:
-        """Quads unifying with the pattern, sorted by term identity."""
+        """Quads unifying with the pattern, in ``Term`` order of (s, p, o, g)."""
         candidates = self._by_g.get(g, ()) if g is not None else self._snapshot()
         out = [
             q
@@ -117,7 +113,7 @@ class Dataset:
             and (p is None or q.p == p)
             and (o is None or q.o == o)
         ]
-        out.sort(key=_quad_key)
+        out.sort()
         return out
 
     def copy(self) -> "Dataset":

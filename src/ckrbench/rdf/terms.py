@@ -3,7 +3,9 @@
 A term is a plain value: two terms are equal exactly when kind, lexical form
 and datatype agree.  Constructors hash-cons through a module-level cache so
 that equal terms are usually the same object, which keeps large quad stores
-cheap to hash and compare.
+cheap to hash and compare.  Constructors also validate: ``iri()`` rejects
+relative or malformed IRIs and ``blank()`` rejects labels that TriG cannot
+write, so every term can be serialized as it is.
 """
 from __future__ import annotations
 
@@ -13,8 +15,20 @@ from typing import NamedTuple
 _IRI_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
+#: A blank-node label TriG can write after ``_:``: it may not end with '.'.
+BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
+
 
 class Term(NamedTuple):
+    """An RDF term, ordered as a plain tuple: (kind, lexical, datatype).
+
+    The order is total because the constructors keep ``datatype`` uniform
+    within a kind: ``literal()`` always sets a datatype string, and ``iri()``
+    and ``blank()`` leave it ``None``.  Two terms that reach the datatype
+    field share kind and lexical form, so ``None`` is never compared with a
+    string.
+    """
+
     kind: str  # "iri" | "blank" | "literal"
     lexical: str
     datatype: str | None = None  # literals only
@@ -52,6 +66,8 @@ def iri(lexical: str) -> Term:
 def blank(label: str) -> Term:
     t = _blank_cache.get(label)
     if t is None:
+        if not BLANK_LABEL.fullmatch(label):
+            raise ValueError(f"not a valid blank node label: {label!r}")
         t = Term("blank", label)
         _blank_cache[label] = t
     return t
@@ -66,11 +82,6 @@ def literal(lexical: str, datatype: str | None = None) -> Term:
         t = Term("literal", lexical, dt)
         _literal_cache[key] = t
     return t
-
-
-def term_key(t: Term) -> tuple[str, str, str]:
-    """Total order on terms (kind, lexical, datatype)."""
-    return (t.kind, t.lexical, t.datatype or "")
 
 
 class TermTable:

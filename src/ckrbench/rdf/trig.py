@@ -14,7 +14,8 @@ context name), so a plain Turtle ontology loads as a repository with only
 global knowledge.
 
 The writer is deterministic: fixed prefix header, graphs/subjects/objects in
-sorted term order.  Equal datasets serialize to byte-identical documents.
+``Term`` order, blank labels as they are.  Equal datasets serialize to
+byte-identical documents.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from ckrbench.namespaces import (
     XSD_STRING,
 )
 from ckrbench.rdf.dataset import Dataset, Quad
-from ckrbench.rdf.terms import Term, blank, iri, is_valid_iri, literal, term_key
+from ckrbench.rdf.terms import BLANK_LABEL, Term, blank, iri, is_valid_iri, literal
 
 _LANG_MARKER = RDF_NS + "langString@"  # language tag folded into the datatype
 
@@ -54,7 +55,7 @@ _TOKEN = re.compile(
     | (?P<IRIREF><[^<>"{}|^`\\\x00-\x20]*>)
     | (?P<STRING_LONG>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*''')
     | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-    | (?P<BLANK>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
+    | (?P<BLANK>_:BLANK_LABEL)
     | (?P<PREFIX_DIRECTIVE>@prefix\b|@base\b)
     | (?P<LANGTAG>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
     | (?P<DOUBLE>[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+)
@@ -66,7 +67,7 @@ _TOKEN = re.compile(
     | (?P<PUNCT>[.;,\[\](){}])
     """.replace(
         "PN_LOCAL", _PN_LOCAL
-    ),
+    ).replace("BLANK_LABEL", BLANK_LABEL.pattern),
     re.VERBOSE,
 )
 
@@ -446,7 +447,6 @@ def load_path(path: str, format: str | None = None) -> Dataset:
 # ---------------------------------------------------------------------------
 
 _SAFE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
-_SAFE_LABEL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
@@ -454,16 +454,7 @@ class _Writer:
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
         self.prefixes = dict(STANDARD_PREFIXES)
-        self._label_map = self._relabel_blanks()
         self._formatted: dict[Term, str] = {}
-
-    def _relabel_blanks(self) -> dict[str, str]:
-        labels = sorted(
-            {t.lexical for q in self.dataset for t in (q.s, q.o) if t.kind == "blank"}
-        )
-        if all(_SAFE_LABEL.match(label) for label in labels):
-            return {}
-        return {label: f"b{i}" for i, label in enumerate(labels)}
 
     def format_term(self, t: Term) -> str:
         text = self._formatted.get(t)
@@ -471,7 +462,7 @@ class _Writer:
             if t.kind == "iri":
                 text = self._format_iri(t.lexical)
             elif t.kind == "blank":
-                text = "_:" + self._label_map.get(t.lexical, t.lexical)
+                text = "_:" + t.lexical
             else:
                 text = self._format_literal(t)
             self._formatted[t] = text
@@ -488,7 +479,7 @@ class _Writer:
         return f"<{lexical}>"
 
     def _format_literal(self, t: Term) -> str:
-        dt = t.datatype or XSD_STRING
+        dt = t.datatype
         if dt == XSD_INTEGER and re.fullmatch(r"[+-]?[0-9]+", t.lexical):
             return t.lexical
         if dt == XSD_BOOLEAN and t.lexical in ("true", "false"):
@@ -509,17 +500,17 @@ class _Writer:
         return lines
 
     def triple_lines(self, quads: Iterable[Quad], indent: str) -> list[str]:
-        # Group by subject, then predicate; deterministic sorted order.
+        # Group by subject, then predicate; Term order throughout.
         grouped: dict[Term, dict[Term, list[Term]]] = {}
         for q in quads:
             grouped.setdefault(q.s, {}).setdefault(q.p, []).append(q.o)
         lines: list[str] = []
-        for s in sorted(grouped, key=term_key):
+        for s in sorted(grouped):
             parts = []
-            for p in sorted(grouped[s], key=term_key):
+            for p in sorted(grouped[s]):
                 objects = grouped[s][p]
                 if len(objects) > 1:
-                    objects.sort(key=term_key)
+                    objects.sort()
                 objs = ", ".join(map(self.format_term, objects))
                 pred = "a" if p == RDF_TYPE else self.format_term(p)
                 parts.append(f"{pred} {objs}")

@@ -88,13 +88,6 @@ def test_bench_counts_stable_across_reruns(ts2_dir):
     assert key(first) == key(second)
 
 
-def test_bench_parallel_matches_sequential(ts2_dir):
-    seq = bench_suite(ts2_dir, ["ckr-rdfs-global"], runs=1)
-    par = bench_suite(ts2_dir, ["ckr-rdfs-global"], runs=1, parallel=2)
-    key = lambda rs: sorted((r.config, r.asserted, r.inferred) for r in rs)
-    assert key(seq) == key(par)
-
-
 def test_write_csv_and_fit(ts2_dir, tmp_path):
     records = bench_suite(ts2_dir, ["ckr-owl-local"], runs=2)
     out = tmp_path / "report.csv"
@@ -266,6 +259,13 @@ def test_cli_bench_end_to_end(ts2_dir, tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     # 3 files x 2 regimes x (2 runs + 1 avg)
     assert len(rows) == 18
+
+
+def test_cli_bench_parallel_is_a_usage_error(ts2_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(ts2_dir), "--csv", str(tmp_path / "b.csv"),
+              "--parallel", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_default_regime_env(monkeypatch, ts2_file):

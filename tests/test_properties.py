@@ -9,7 +9,6 @@ from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.encoding import BlankMinter, encode_axioms
 from ckrbench.model.repository import assemble_repository
-from ckrbench.rdf.terms import term_key
 from util import gen, random_ckr_params, random_dataset
 
 
@@ -62,7 +61,6 @@ def test_match_at_scale_against_linear_scan():
                 q
                 for q in quads
                 if all(v is None or getattr(q, k) == v for k, v in pattern.items())
-            ),
-            key=lambda q: tuple(map(term_key, q)),
+            )
         )
         assert d.match(**pattern) == expected

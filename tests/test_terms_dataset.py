@@ -5,8 +5,10 @@ import threading
 
 import pytest
 
+from ckrbench.namespaces import XSD_INTEGER, XSD_STRING
 from ckrbench.rdf.dataset import Dataset, Quad
-from ckrbench.rdf.terms import TermTable, iri, literal, term_key
+from ckrbench.rdf.terms import TermTable, blank, iri, literal
+from ckrbench.rdf.trig import load_dataset
 from util import gen, random_dataset
 
 
@@ -22,6 +24,38 @@ def test_invalid_iri_rejected():
         iri("no-scheme-here")
     with pytest.raises(ValueError):
         iri("http://x.test/with space")
+
+
+def test_invalid_blank_label_rejected():
+    for label in ("a b", "", "a."):
+        with pytest.raises(ValueError):
+            blank(label)
+
+
+def test_terms_of_all_kinds_sort_without_a_key():
+    (tagged,) = load_dataset('<http://x.test/s> <http://x.test/p> "5"@en .')
+    lang = tagged.o
+    terms = [
+        literal("http://x.test/v"),
+        lang,
+        literal("5", XSD_STRING),
+        literal("5", XSD_INTEGER),
+        iri("http://x.test/v"),
+        blank("v"),
+    ]
+    # (kind, lexical, datatype): kinds blank < iri < literal; then lexical
+    # form; then datatype, where ".../1999/02/22-rdf-syntax-ns#langString@en"
+    # < ".../2001/XMLSchema#integer" < ".../2001/XMLSchema#string".
+    expected = [
+        blank("v"),
+        iri("http://x.test/v"),
+        lang,
+        literal("5", XSD_INTEGER),
+        literal("5", XSD_STRING),
+        literal("http://x.test/v"),
+    ]
+    assert sorted(terms) == expected
+    assert sorted(reversed(expected)) == expected
 
 
 def test_term_table_dense_ids():
@@ -76,10 +110,7 @@ def test_match_subject_pattern():
 def test_match_graph_pattern():
     d = random_dataset(7, 300)
     g = gen("g2")
-    expected = sorted(
-        (qq for qq in d if qq.g == g),
-        key=lambda qq: tuple(map(term_key, qq)),
-    )
+    expected = sorted(qq for qq in d if qq.g == g)
     assert d.match(g=g) == expected
 
 
@@ -99,8 +130,7 @@ def test_match_agrees_with_linear_scan(seed):
                 qq
                 for qq in quads
                 if all(v is None or getattr(qq, k) == v for k, v in pattern.items())
-            ),
-            key=lambda qq: tuple(map(term_key, qq)),
+            )
         )
         assert d.match(**pattern) == expected
 
@@ -109,7 +139,7 @@ def test_match_is_deterministic():
     d = random_dataset(3, 500)
     first = d.match(p=gen("p1"))
     assert first == d.match(p=gen("p1"))
-    assert first == sorted(first, key=lambda qq: tuple(map(term_key, qq)))
+    assert first == sorted(first)
 
 
 def test_graph_names_and_sizes():

@@ -161,6 +161,13 @@ def test_round_trip_with_blank_nodes():
     assert Quad(blank("b0"), gen("p"), gen("o"), gen("m0")) in again
 
 
+def test_dotted_and_dashed_blank_labels_round_trip_verbatim():
+    d = trig(":m0 { _:a.b :p _:x-1 . _:x-1 a :A0 . }")
+    again = load_dataset(write_dataset(d))
+    assert again == d
+    assert Quad(blank("a.b"), gen("p"), blank("x-1"), gen("m0")) in again
+
+
 def test_write_is_deterministic():
     a = write_dataset(random_dataset(4, 800))
     b = write_dataset(random_dataset(4, 800))
