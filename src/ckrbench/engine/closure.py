@@ -48,7 +48,7 @@ from ckrbench.namespaces import (
     RDF_TYPE,
     inference_graph,
 )
-from ckrbench.rdf.dataset import Dataset, Quad
+from ckrbench.rdf.dataset import Dataset, Quad, is_valid_quad
 from ckrbench.rdf.terms import Term, TermTable
 
 logger = logging.getLogger(__name__)
@@ -203,6 +203,12 @@ def compute_closure(
 
         if regime.local_rules is not None:
             with clock.stage("local"):
+                not_iri = sorted(c for c in contexts if c.kind != "iri")
+                if not_iri:
+                    raise AssemblyError(
+                        f"context {not_iri[0]!r} is not an IRI, so it cannot "
+                        "name an inference graph"
+                    )
                 propagated = repo.global_object_axioms()
                 for c in contexts:
                     for ax in repo.context_kb(c, mod_assoc):
@@ -287,9 +293,11 @@ def _materialize(
     repo: CkrRepository,
     contexts: set[Term],
 ) -> tuple[list[Quad], set[Term]]:
-    """The quads of every non-asserted fact that the dataset lacks, plus the
-    module links of the inference graphs they go to, in no particular order;
-    and the inconsistent contexts."""
+    """The quads of every non-asserted fact that the dataset lacks and can
+    hold, plus the module links of the inference graphs they go to, in no
+    particular order; and the inconsistent contexts.  A fact whose quad no
+    dataset holds (a literal subject, a predicate that is not an IRI) stays in
+    the facts only."""
     dataset = repo.dataset
     term = table.term
     inconsistent = {term(enc[0]) for enc in store.rels.get(cal.UNSAT, ())}
@@ -308,7 +316,7 @@ def _materialize(
                 target = targets[ctx] = inference_graph(ctx)
             for s, p, o in _fact_triples(f):
                 quad = Quad(s, p, o, target)
-                if quad not in dataset:
+                if quad not in dataset and is_valid_quad(quad):
                     quads.append(quad)
                     linked.add(ctx)
 

@@ -26,25 +26,22 @@ class Quad(NamedTuple):
     g: Term
 
 
+def is_valid_quad(q: Quad) -> bool:
+    """Whether a dataset can hold the quad: the predicate and the graph name
+    are IRIs and the subject is an IRI or a blank node."""
+    return q.p.kind == "iri" and q.g.kind == "iri" and q.s.kind != "literal"
+
+
 class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
         self._quads: set[Quad] = set()
+        # every graph, declared empty ones included, with its quads
         self._by_g: dict[Term, list[Quad]] = {}
-        self._declared_graphs: set[Term] = set()
         self._lock = threading.Lock()
         if quads:
             self.add_quads(quads)
 
     # -- write side -------------------------------------------------------
-
-    @staticmethod
-    def _validate(q: Quad) -> None:
-        if q.p.kind != "iri":
-            raise ValueError(f"predicate must be an IRI: {q.p!r}")
-        if q.g.kind != "iri":
-            raise ValueError(f"graph name must be an IRI: {q.g!r}")
-        if q.s.kind == "literal":
-            raise ValueError(f"subject must be an IRI or blank node: {q.s!r}")
 
     def add(self, q: Quad) -> bool:
         """Insert one quad; True when it was not already present."""
@@ -57,17 +54,17 @@ class Dataset:
             for q in qs:
                 if q in self._quads:
                     continue
-                self._validate(q)
+                if not is_valid_quad(q):
+                    raise ValueError(f"a dataset cannot hold {q!r}")
                 self._quads.add(q)
                 self._by_g.setdefault(q.g, []).append(q)
-                self._declared_graphs.add(q.g)
                 added += 1
         return added
 
     def declare_graph(self, g: Term) -> None:
         """Record that a (possibly empty) named graph exists."""
         with self._lock:
-            self._declared_graphs.add(g)
+            self._by_g.setdefault(g, [])
 
     # -- read side --------------------------------------------------------
 
@@ -85,10 +82,10 @@ class Dataset:
             return list(self._quads)
 
     def graph_names(self) -> list[Term]:
-        return sorted(self._declared_graphs)
+        return sorted(self._by_g)
 
     def has_graph(self, g: Term) -> bool:
-        return g in self._declared_graphs
+        return g in self._by_g
 
     def graph(self, g: Term) -> list[Quad]:
         """All quads of one named graph (unordered)."""
@@ -122,7 +119,6 @@ class Dataset:
         with self._lock:
             d._quads = set(self._quads)
             d._by_g = {g: list(qs) for g, qs in self._by_g.items()}
-            d._declared_graphs = set(self._declared_graphs)
         return d
 
     def __eq__(self, other: object) -> bool:

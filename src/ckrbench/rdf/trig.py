@@ -1,10 +1,11 @@
 """TriG and Turtle reading and writing.
 
-Hand-rolled recursive-descent parser over a regex tokenizer.  Covers the
-slice of TriG the repository format uses plus the usual hand-authoring
-conveniences: prefix/base directives, graph blocks (with or without the GRAPH
-keyword), ``a``, ``;``/``,`` lists, anonymous blank nodes, collections,
-numeric/boolean literal shorthand, language tags, comments.
+Hand-rolled recursive-descent parser over the regex match stream, one token
+of lookahead.  Covers the slice of TriG the repository format uses plus the
+usual hand-authoring conveniences: prefix/base directives, graph blocks (with
+or without the GRAPH keyword), ``a``, ``;``/``,`` lists, anonymous blank
+nodes, collections, numeric/boolean literal shorthand, language tags,
+comments.
 
 Not a full W3C implementation; unsupported syntax fails loudly with a line
 and column rather than being guessed at.
@@ -20,7 +21,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import re
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from ckrbench.errors import ParseError, SerializationError
 from ckrbench.namespaces import (
@@ -85,13 +86,12 @@ _STRING_ESCAPES = {
 _UNESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
+#: ``_:label`` text anywhere in a document, inside comments and strings too.
+_LABEL_TEXT = re.compile("_:(" + BLANK_LABEL.pattern + ")")
 
-    def __init__(self, kind: str, value: str, pos: int) -> None:
-        self.kind = kind
-        self.value = value
-        self.pos = pos  # offset into the document
+_NUMERIC = {"INTEGER": XSD_INTEGER, "DECIMAL": XSD_DECIMAL, "DOUBLE": XSD_DOUBLE}
+
+_Lexeme = tuple[str, str, int]  # kind, text, offset into the document
 
 
 def _error_at(text: str, pos: int, message: str) -> ParseError:
@@ -100,63 +100,65 @@ def _error_at(text: str, pos: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> Iterator[_Lexeme]:
+    """The document's tokens without whitespace and comments, then ``EOF``
+    for as long as asked; an unexpected character raises when reached."""
     pos = 0
     for m in _TOKEN.finditer(text):
-        if m.start() != pos:
+        start = m.start()
+        if start != pos:
             break
+        pos = m.end()
         kind = m.lastgroup
         if kind != "WS":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
+            yield kind, m.group(), start
     if pos < len(text):
         raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
-    tokens.append(_Token("EOF", "", pos))
-    return tokens
+    while True:
+        yield "EOF", "", pos
 
 
 class _Parser:
+    """Recursive descent with one token of lookahead, ``self.tok``.
+
+    Punctuation and keywords are recognised by their text alone: no token of
+    another kind has the same text.
+    """
+
     def __init__(self, text: str, *, turtle_only: bool = False) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self._pull = _tokenize(text).__next__
+        self.tok = self._pull()
         self.turtle_only = turtle_only
         self.prefixes: dict[str, str] = {}
         self.base: str | None = None
         self.dataset = Dataset()
         self.quads: list[Quad] = []  # inserted in one batch at the end
-        self.current_graph = GLOBAL_GRAPH
         # Blank-node housekeeping: anonymous nodes get labels that avoid every
-        # explicitly written label; explicit labels are kept verbatim and may
+        # ``_:label`` text of the document, so they cannot take an explicit
+        # label written further on; explicit labels are kept verbatim and may
         # not span two named graphs.
-        self._explicit_labels = {
-            t.value[2:] for t in self.tokens if t.kind == "BLANK"
-        }
+        self._explicit_labels = set(_LABEL_TEXT.findall(text))
         self._anon_counter = 0
         self._label_graph: dict[str, Term] = {}
 
     # -- token helpers ----------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def _next(self) -> _Lexeme:
+        tok = self.tok
+        self.tok = self._pull()
         return tok
 
-    def _expect(self, kind: str, value: str | None = None) -> _Token:
+    def _expect(self, kind: str, value: str | None = None) -> _Lexeme:
         tok = self._next()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value or kind
-            raise self._fail(f"expected {want!r}, found {tok.value!r}", tok)
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            raise self._fail(f"expected {value or kind!r}, found {tok[1]!r}", tok)
         return tok
 
-    def _fail(self, message: str, tok: _Token) -> ParseError:
-        return _error_at(self.text, tok.pos, message)
+    def _fail(self, message: str, tok: _Lexeme) -> ParseError:
+        return _error_at(self.text, tok[2], message)
 
-    def _unescape(self, raw: str, tok: _Token) -> str:
+    def _unescape(self, raw: str, tok: _Lexeme) -> str:
         def repl(m: re.Match) -> str:
             esc = m.group(1)
             if esc[0] in "uU":
@@ -171,15 +173,13 @@ class _Parser:
     # -- document ---------------------------------------------------------
 
     def parse(self) -> Dataset:
-        while True:
-            tok = self._peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind == "PREFIX_DIRECTIVE":
+        while self.tok[0] != "EOF":
+            kind, value, _ = self.tok
+            if kind == "PREFIX_DIRECTIVE":
                 self._directive()
-            elif tok.kind == "KEYWORD" and tok.value in ("PREFIX", "BASE"):
+            elif value in ("PREFIX", "BASE"):
                 self._sparql_directive()
-            elif tok.kind == "KEYWORD" and tok.value == "GRAPH":
+            elif value == "GRAPH":
                 self._next()
                 self._graph_block(self._node_or_fail("graph name"))
             else:
@@ -188,173 +188,148 @@ class _Parser:
         return self.dataset
 
     def _directive(self) -> None:
-        tok = self._next()
-        if tok.value == "@prefix":
+        if self._next()[1] == "@prefix":
             ns = self._expect("PNAME")
-            if not ns.value.endswith(":") or ns.value.count(":") != 1:
+            if not ns[1].endswith(":"):
                 raise self._fail("malformed prefix declaration", ns)
-            target = self._expect("IRIREF")
-            self.prefixes[ns.value[:-1]] = self._iri_value(target)
-            self._expect("PUNCT", ".")
+            self.prefixes[ns[1][:-1]] = self._iri_value(self._expect("IRIREF"))
         else:  # @base
-            target = self._expect("IRIREF")
-            self.base = self._iri_value(target)
-            self._expect("PUNCT", ".")
+            self.base = self._iri_value(self._expect("IRIREF"))
+        self._expect("PUNCT", ".")
 
     def _sparql_directive(self) -> None:
-        tok = self._next()
-        if tok.value == "PREFIX":
+        if self._next()[1] == "PREFIX":
             ns = self._expect("PNAME")
-            target = self._expect("IRIREF")
-            self.prefixes[ns.value[:-1]] = self._iri_value(target)
+            self.prefixes[ns[1][:-1]] = self._iri_value(self._expect("IRIREF"))
         else:
-            target = self._expect("IRIREF")
-            self.base = self._iri_value(target)
+            self.base = self._iri_value(self._expect("IRIREF"))
 
     def _block_or_triples(self) -> None:
-        tok = self._peek()
-        if tok.kind in ("IRIREF", "PNAME"):
-            start = self.pos
+        if self.tok[0] in ("IRIREF", "PNAME"):
             node = self._iri_term(self._next())
-            if self._peek().kind == "PUNCT" and self._peek().value == "{":
+            if self.tok[1] == "{":
                 self._graph_block(node)
                 return
-            self.pos = start
-        self._triples(self.current_graph)
+            self._predicate_object_list(node, GLOBAL_GRAPH)
+        else:
+            self._triples(GLOBAL_GRAPH)
         self._expect("PUNCT", ".")
 
     def _graph_block(self, name: Term) -> None:
         if self.turtle_only:
-            raise self._fail("graph blocks are not allowed in Turtle", self._peek())
-        if name.kind != "iri":
-            raise self._fail("graph names must be IRIs", self._peek())
+            raise self._fail("graph blocks are not allowed in Turtle", self.tok)
         self._expect("PUNCT", "{")
         self.dataset.declare_graph(name)
-        while not (self._peek().kind == "PUNCT" and self._peek().value == "}"):
+        while self.tok[1] != "}":
             self._triples(name)
-            tok = self._peek()
-            if tok.kind == "PUNCT" and tok.value == ".":
+            tok = self.tok
+            if tok[1] == ".":
                 self._next()
-            elif not (tok.kind == "PUNCT" and tok.value == "}"):
-                raise self._fail(f"expected '.' or '}}', found {tok.value!r}", tok)
+            elif tok[1] != "}":
+                raise self._fail(f"expected '.' or '}}', found {tok[1]!r}", tok)
         self._next()
 
     def _node_or_fail(self, what: str) -> Term:
         tok = self._next()
-        if tok.kind in ("IRIREF", "PNAME"):
+        if tok[0] in ("IRIREF", "PNAME"):
             return self._iri_term(tok)
         raise self._fail(f"expected {what}", tok)
 
     # -- triples ----------------------------------------------------------
 
     def _triples(self, graph: Term) -> None:
-        tok = self._peek()
-        if tok.kind == "PUNCT" and tok.value == "[":
-            subject = self._bnode_property_list(graph)
-            if not (self._peek().kind == "PUNCT" and self._peek().value in ".}"):
+        if self.tok[1] == "[":
+            subject = self._bnode_property_list(self._next(), graph)
+            if self.tok[1] not in (".", "}"):
                 self._predicate_object_list(subject, graph)
             return
-        subject = self._term(graph, position="subject")
-        self._predicate_object_list(subject, graph)
+        self._predicate_object_list(self._term(graph, "subject"), graph)
 
     def _predicate_object_list(self, subject: Term, graph: Term) -> None:
+        emit = self.quads.append
         while True:
             verb = self._verb()
             while True:
-                obj = self._term(graph, position="object")
-                self._emit(subject, verb, obj, graph)
-                if self._peek().kind == "PUNCT" and self._peek().value == ",":
-                    self._next()
-                    continue
-                break
-            if self._peek().kind == "PUNCT" and self._peek().value == ";":
+                emit(Quad(subject, verb, self._term(graph, "object"), graph))
+                if self.tok[1] != ",":
+                    break
                 self._next()
-                # allow trailing ';' before '.' or '}'
-                nxt = self._peek()
-                if nxt.kind == "PUNCT" and nxt.value in ".}]":
-                    return
-                continue
-            return
+            if self.tok[1] != ";":
+                return
+            self._next()
+            # allow trailing ';' before '.', '}' or ']'
+            if self.tok[1] in (".", "}", "]"):
+                return
 
     def _verb(self) -> Term:
         tok = self._next()
-        if tok.kind == "KEYWORD" and tok.value == "a":
+        if tok[1] == "a":
             return RDF_TYPE
-        if tok.kind in ("IRIREF", "PNAME"):
+        if tok[0] in ("IRIREF", "PNAME"):
             return self._iri_term(tok)
-        raise self._fail(f"expected predicate, found {tok.value!r}", tok)
+        raise self._fail(f"expected predicate, found {tok[1]!r}", tok)
 
     def _term(self, graph: Term, position: str) -> Term:
         tok = self._next()
-        if tok.kind in ("IRIREF", "PNAME"):
+        kind, value, _ = tok
+        if kind in ("IRIREF", "PNAME"):
             return self._iri_term(tok)
-        if tok.kind == "BLANK":
+        if kind == "BLANK":
             return self._labelled_blank(tok, graph)
-        if tok.kind == "PUNCT" and tok.value == "[":
-            self.pos -= 1
-            return self._bnode_property_list(graph)
-        if tok.kind == "PUNCT" and tok.value == "(":
-            self.pos -= 1
+        if value == "[":
+            return self._bnode_property_list(tok, graph)
+        if value == "(":
             return self._collection(graph)
         if position == "subject":
-            raise self._fail(f"expected subject, found {tok.value!r}", tok)
-        if tok.kind in ("STRING", "STRING_LONG"):
+            raise self._fail(f"expected subject, found {value!r}", tok)
+        if kind in ("STRING", "STRING_LONG"):
             return self._literal(tok)
-        if tok.kind == "INTEGER":
-            return literal(tok.value, XSD_INTEGER)
-        if tok.kind == "DECIMAL":
-            return literal(tok.value, XSD_DECIMAL)
-        if tok.kind == "DOUBLE":
-            return literal(tok.value, XSD_DOUBLE)
-        if tok.kind == "KEYWORD" and tok.value in ("true", "false"):
-            return literal(tok.value, XSD_BOOLEAN)
-        raise self._fail(f"expected object, found {tok.value!r}", tok)
+        if kind in _NUMERIC:
+            return literal(value, _NUMERIC[kind])
+        if value in ("true", "false"):
+            return literal(value, XSD_BOOLEAN)
+        raise self._fail(f"expected object, found {value!r}", tok)
 
-    def _literal(self, tok: _Token) -> Term:
-        raw = tok.value
-        quote = raw[0]
-        body = raw[3:-3] if raw.startswith(quote * 3) else raw[1:-1]
+    def _literal(self, tok: _Lexeme) -> Term:
+        kind, raw, _ = tok
+        body = raw[3:-3] if kind == "STRING_LONG" else raw[1:-1]
         value = self._unescape(body, tok)
-        nxt = self._peek()
-        if nxt.kind == "HATHAT":
+        if self.tok[0] == "HATHAT":
             self._next()
-            dt = self._node_or_fail("datatype IRI")
-            return literal(value, dt.lexical)
-        if nxt.kind == "LANGTAG":
-            self._next()
-            return literal(value, _LANG_MARKER + nxt.value[1:].lower())
+            return literal(value, self._node_or_fail("datatype IRI").lexical)
+        if self.tok[0] == "LANGTAG":
+            return literal(value, _LANG_MARKER + self._next()[1][1:].lower())
         return literal(value, XSD_STRING)
 
-    def _bnode_property_list(self, graph: Term) -> Term:
-        open_tok = self._expect("PUNCT", "[")
+    def _bnode_property_list(self, open_tok: _Lexeme, graph: Term) -> Term:
+        """The node of a ``[ ... ]`` whose ``[`` is ``open_tok``, already read."""
         node = self._fresh_blank(graph)
-        if self._peek().kind == "PUNCT" and self._peek().value == "]":
+        if self.tok[1] == "]":
             self._next()
             return node
         self._predicate_object_list(node, graph)
-        tok = self._next()
-        if not (tok.kind == "PUNCT" and tok.value == "]"):
+        if self._next()[1] != "]":
             raise self._fail("unterminated blank node property list", open_tok)
         return node
 
     def _collection(self, graph: Term) -> Term:
-        self._expect("PUNCT", "(")
+        """The head of a ``( ... )`` whose ``(`` is already read."""
         items: list[Term] = []
-        while not (self._peek().kind == "PUNCT" and self._peek().value == ")"):
-            items.append(self._term(graph, position="object"))
+        while self.tok[1] != ")":
+            items.append(self._term(graph, "object"))
         self._next()
         head: Term = RDF_NIL
         for item in reversed(items):
             cell = self._fresh_blank(graph)
-            self._emit(cell, RDF_FIRST, item, graph)
-            self._emit(cell, RDF_REST, head, graph)
+            self.quads.append(Quad(cell, RDF_FIRST, item, graph))
+            self.quads.append(Quad(cell, RDF_REST, head, graph))
             head = cell
         return head
 
     # -- leaf helpers -----------------------------------------------------
 
-    def _iri_value(self, tok: _Token) -> str:
-        value = self._unescape(tok.value[1:-1], tok)
+    def _iri_value(self, tok: _Lexeme) -> str:
+        value = self._unescape(tok[1][1:-1], tok)
         if self.base is not None and not is_valid_iri(value):
             from urllib.parse import urljoin
 
@@ -363,10 +338,10 @@ class _Parser:
             raise self._fail(f"invalid IRI <{value}>", tok)
         return value
 
-    def _iri_term(self, tok: _Token) -> Term:
-        if tok.kind == "IRIREF":
+    def _iri_term(self, tok: _Lexeme) -> Term:
+        if tok[0] == "IRIREF":
             return iri(self._iri_value(tok))
-        prefix, _, local = tok.value.partition(":")
+        prefix, _, local = tok[1].partition(":")
         if prefix not in self.prefixes:
             raise self._fail(f"undefined prefix {prefix + ':'!r}", tok)
         expanded = self.prefixes[prefix] + local
@@ -375,8 +350,8 @@ class _Parser:
         except ValueError:
             raise self._fail(f"invalid IRI <{expanded}>", tok) from None
 
-    def _labelled_blank(self, tok: _Token, graph: Term) -> Term:
-        label = tok.value[2:]
+    def _labelled_blank(self, tok: _Lexeme, graph: Term) -> Term:
+        label = tok[1][2:]
         seen = self._label_graph.get(label)
         if seen is None:
             self._label_graph[label] = graph
@@ -401,11 +376,6 @@ class _Parser:
                 break
         self._label_graph[label] = graph
         return blank(label)
-
-    def _emit(self, s: Term, p: Term, o: Term, g: Term) -> None:
-        if s.kind == "literal":
-            raise self._fail("literal in subject position", self._peek())
-        self.quads.append(Quad(s, p, o, g))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,19 @@ def test_cli_closure_parse_failure(tmp_path):
     assert main(["closure", str(bad)]) == 2
 
 
+def test_cli_closure_blank_context_is_an_error(tmp_path):
+    path = tmp_path / "blank-context.trig"
+    path.write_text(
+        "@prefix : <http://example.org/ckr/gen#> .\n"
+        "@prefix ckr: <http://example.org/ckr/meta#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "ckr:global { _:c a ckr:Ctx ; ckr:mod :m0 . }\n"
+        ":m0 { :a a :A . :A rdfs:subClassOf :B . }\n"
+    )
+    assert main(["closure", str(path), "--out", str(tmp_path / "out.trig")]) == 2
+    assert not (tmp_path / "out.trig").exists()
+
+
 def test_cli_check_asserted_and_propagated(ts2_file, capsys):
     # asserted membership in its own context
     assert main(["check", str(ts2_file), ":c0", ":x0_0", "a", ":D0"]) == 0

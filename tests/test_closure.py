@@ -7,7 +7,7 @@ import pytest
 
 from ckrbench.engine.closure import check_entailment, compute_closure
 from ckrbench.engine.rules import REGIME_IDS, instantiate_ruleset
-from ckrbench.errors import InstanceQueryError, UnknownContextError
+from ckrbench.errors import AssemblyError, InstanceQueryError, UnknownContextError
 from ckrbench.generator import (
     build_ts1,
     build_ts2,
@@ -28,7 +28,7 @@ from ckrbench.namespaces import (
     nominal_class,
 )
 from ckrbench.rdf.dataset import Dataset, Quad
-from ckrbench.rdf.terms import iri
+from ckrbench.rdf.terms import blank, iri, literal
 from ckrbench.rdf.trig import load_dataset, write_dataset
 from util import gen, trig
 
@@ -373,3 +373,57 @@ def test_fact_view_lookups_do_not_intern_unseen_terms():
     assert facts.match("inst", unseen, None, None) == []
     assert facts.match("inst", None, None, unseen) == []
     assert len(table) == size
+
+
+ONE_MODULE = "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . } "
+
+
+@pytest.mark.parametrize(
+    "module, derived",
+    [
+        (
+            ":A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty :p ; "
+            'owl:hasValue "v" ] . :p owl:inverseOf :q . :x a :A .',
+            ("triple", literal("v"), gen("q"), gen("x"), gen("c0")),
+        ),
+        (
+            ':a owl:sameAs "five" .',
+            ("eq", literal("five"), gen("a"), gen("c0")),
+        ),
+        (
+            ':p owl:inverseOf "lit" . :a :p :b .',
+            ("triple", gen("b"), literal("lit"), gen("a"), gen("c0")),
+        ),
+    ],
+    ids=["literal-subject-by-has-value", "literal-subject-by-eq-sym", "literal-predicate"],
+)
+def test_facts_a_dataset_cannot_hold_stay_out_of_the_output(module, derived):
+    result = closure(trig(ONE_MODULE + ":m0 { " + module + " }"))
+    assert derived in result.facts
+    out = write_dataset(result.closed_dataset())
+    reloaded = load_dataset(out)
+    assert len(reloaded) == result.asserted_quad_count + result.inferred_quad_count
+    assert closure(reloaded).inferred_quad_count == 0
+
+
+@pytest.mark.parametrize(
+    "global_graph, context",
+    [
+        ("_:c a ckr:Ctx ; ckr:mod :m0 .", blank("c")),
+        (':c0 a ckr:Ctx ; ckr:mod :m0 . :c0 owl:sameAs "lit" .', literal("lit")),
+    ],
+    ids=["blank-context", "context-equal-to-a-literal"],
+)
+def test_context_that_is_not_an_iri(global_graph, context):
+    d = trig(
+        "ckr:global { " + global_graph + " } "
+        ":m0 { :a a :A . :A rdfs:subClassOf :B . }"
+    )
+    with pytest.raises(AssemblyError, match="is not an IRI") as err:
+        closure(d, "ckr-owl-local")
+    assert repr(context) in str(err.value)
+    # a global regime writes no per-context graph and closes such input
+    result = closure(d, "ckr-owl-global")
+    assert context in result.contexts
+    reloaded = load_dataset(write_dataset(result.closed_dataset()))
+    assert closure(reloaded, "ckr-owl-global").inferred_quad_count == 0

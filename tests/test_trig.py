@@ -103,6 +103,33 @@ def test_syntax_error_position_is_exact(body, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "body, message, line, column",
+    [
+        # errors come in document order: the missing object is reported
+        # before the unexpected character on the next line
+        (":s :p .\n:a ! :b .", "expected object, found '.'", 7, 7),
+        # no subject can be a literal, and no graph name a blank node
+        ('"lit" :p :o .', "expected subject, found '\"lit\"'", 7, 1),
+        ("_:b { :s :p :o . }", "expected predicate, found '{'", 7, 5),
+    ],
+    ids=["document-order", "literal-subject", "blank-graph-name"],
+)
+def test_grammar_error_message_and_position(body, message, line, column):
+    with pytest.raises(ParseError) as err:
+        load_dataset(PREAMBLE + body)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+def test_fresh_blank_label_avoids_a_label_written_later():
+    d = trig(":s :p [ :q :o ] . _:genid0 :r :t .")
+    (inner,) = d.match(p=gen("q"))
+    (later,) = d.match(p=gen("r"))
+    assert later.s == blank("genid0")
+    assert inner.s.kind == "blank" and inner.s != later.s
+    assert d.match(s=gen("s")) == [Quad(gen("s"), gen("p"), inner.s, GLOBAL_GRAPH)]
+
+
 def test_undefined_prefix():
     with pytest.raises(ParseError, match="undefined prefix 'nope:'"):
         load_dataset(PREAMBLE + ":s nope:p :o .")
