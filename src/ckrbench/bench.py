@@ -11,7 +11,7 @@ import csv
 import logging
 import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,19 +21,6 @@ from ckrbench.model.repository import assemble_repository
 from ckrbench.rdf.trig import load_path
 
 logger = logging.getLogger(__name__)
-
-CSV_FIELDS = (
-    "suite",
-    "config",
-    "regime",
-    "asserted",
-    "total",
-    "inferred",
-    "ms",
-    "timedout",
-    "seed",
-    "run",
-)
 
 
 @dataclass
@@ -50,18 +37,13 @@ class BenchRecord:
     run: int | str
 
     def row(self) -> dict:
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "regime": self.regime,
-            "asserted": self.asserted,
-            "total": self.total,
-            "inferred": self.inferred,
+        return asdict(self) | {
             "ms": f"{self.ms:.3f}",
             "timedout": str(self.timedout).lower(),
-            "seed": self.seed,
-            "run": self.run,
         }
+
+
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 _FILE_PATTERN = re.compile(r"^(?P<suite>ts1|ts2|ts3|[a-z0-9]+)-(?P<config>.+?)(?:-s(?P<seed>\d+))?$")
@@ -85,6 +67,8 @@ def bench_file(
     """All (regime, run) records for one suite file, plus averaged rows."""
     suite, config, seed = describe_file(path)
     repo = assemble_repository(load_path(str(path)))
+    for warning in repo.warnings:
+        logger.warning("%s: %s", path, warning)
     records: list[BenchRecord] = []
     for regime_id in regime_ids:
         regime = instantiate_ruleset(regime_id)
@@ -125,17 +109,10 @@ def bench_file(
 
 
 def average_record(run_records: Sequence[BenchRecord]) -> BenchRecord:
-    first = run_records[0]
-    return BenchRecord(
-        suite=first.suite,
-        config=first.config,
-        regime=first.regime,
-        asserted=first.asserted,
-        total=first.total,
-        inferred=first.inferred,
+    return replace(
+        run_records[0],
         ms=statistics.fmean(r.ms for r in run_records),
         timedout=any(r.timedout for r in run_records),
-        seed=first.seed,
         run="avg",
     )
 

@@ -7,7 +7,9 @@ context is named by the fixed global-graph IRI ``ckr:global``.
 Every deduction relation used by the engine lives here: instance and role
 membership (``inst``/``triple``), the schema relations mirroring the axiom
 shapes, equality/inequality, the two eval relations, and the per-context
-inconsistency marker.
+inconsistency marker.  Each axiom shape maps to one relation through one
+table, read both ways; a relation's arity is its shape's argument count
+(``axioms.SHAPE_SORTS``) plus the context.
 """
 from __future__ import annotations
 
@@ -40,33 +42,11 @@ SUBEVAL = "subEval"
 SUBEVALR = "subEvalR"
 UNSAT = "unsat"
 
-#: Arity including the trailing context argument.
-RELATION_ARITY: dict[str, int] = {
-    INST: 3,
-    TRIPLE: 4,
-    SUBCLASS: 3,
-    SUBCLASSNEG: 3,
-    SUBHASVALUE: 4,
-    SUBCONJ: 4,
-    SUBEX: 4,
-    SUPALL: 4,
-    SUPMAX1: 4,
-    SUBROLE: 3,
-    INVROLE: 3,
-    SUBRCHAIN: 4,
-    DISROLE: 3,
-    IRRROLE: 2,
-    NTRIPLE: 4,
-    EQ: 3,
-    NEQ: 3,
-    SUBEVAL: 4,
-    SUBEVALR: 4,
-    UNSAT: 1,
-}
-
-
-# Shapes whose fact keeps the axiom argument order unchanged.
-_DIRECT_SHAPES: dict[str, str] = {
+#: The relation of each plain shape's fact.  The fact keeps the axiom's
+#: arguments in order, except that the assertion relations (``_SUBJECT_FIRST``)
+#: put the subject individual first: A(a) becomes inst(a, A), R(a, b)
+#: becomes triple(a, R, b).
+_SHAPE_RELATION: dict[str, str] = {
     ax.SUB_CLASS: SUBCLASS,
     ax.SUB_CLASS_NEG: SUBCLASSNEG,
     ax.SUB_HAS_VALUE: SUBHASVALUE,
@@ -74,6 +54,9 @@ _DIRECT_SHAPES: dict[str, str] = {
     ax.SUB_EX: SUBEX,
     ax.SUP_ALL: SUPALL,
     ax.SUP_MAX1: SUPMAX1,
+    ax.CONCEPT_ASSERT: INST,
+    ax.ROLE_ASSERT: TRIPLE,
+    ax.NEG_ROLE_ASSERT: NTRIPLE,
     ax.SAME: EQ,
     ax.DIFFERENT: NEQ,
     ax.SUB_ROLE: SUBROLE,
@@ -82,32 +65,37 @@ _DIRECT_SHAPES: dict[str, str] = {
     ax.DIS_ROLE: DISROLE,
     ax.IRR_ROLE: IRRROLE,
 }
+_SUBJECT_FIRST = frozenset((INST, TRIPLE, NTRIPLE))
+_EVAL_RELATION = {ax.EVAL_SUB_CLASS: SUBEVAL, ax.EVAL_SUB_ROLE: SUBEVALR}
+_RELATION_SHAPE = {rel: shape for shape, rel in _SHAPE_RELATION.items()}
+
+#: Arity including the trailing context argument.
+RELATION_ARITY: dict[str, int] = {
+    rel: len(ax.SHAPE_SORTS[shape]) + 1
+    for shape, rel in (_SHAPE_RELATION | _EVAL_RELATION).items()
+}
+RELATION_ARITY[UNSAT] = 1
 
 
 def translate_rl(axiom: Axiom, ctx: Term) -> set[Fact]:
     """Translate one non-eval axiom into exactly one fact in context ctx."""
-    shape = axiom.shape
-    a = axiom.args
-    if shape == ax.CONCEPT_ASSERT:
-        return {(INST, a[1], a[0], ctx)}
-    if shape == ax.ROLE_ASSERT:
-        return {(TRIPLE, a[1], a[0], a[2], ctx)}
-    if shape == ax.NEG_ROLE_ASSERT:
-        return {(NTRIPLE, a[1], a[0], a[2], ctx)}
-    relation = _DIRECT_SHAPES.get(shape)
+    relation = _SHAPE_RELATION.get(axiom.shape)
     if relation is None:
         raise TranslationError(
-            f"{shape} has no plain translation; eval shapes go through translate_loc"
+            f"{axiom.shape} has no plain translation; eval shapes go through translate_loc"
         )
+    a = axiom.args
+    if relation in _SUBJECT_FIRST:
+        return {(relation, a[1], a[0]) + a[2:] + (ctx,)}
     return {(relation, *a, ctx)}
 
 
 def translate_loc(axiom: Axiom, ctx: Term) -> set[Fact]:
     """Translate an eval inclusion; nominal contexts expand to a synthetic
     class plus its membership fact in the global context."""
-    if not axiom.is_eval:
+    relation = _EVAL_RELATION.get(axiom.shape)
+    if relation is None:
         raise TranslationError(f"{axiom.shape} is not an eval shape")
-    relation = SUBEVAL if axiom.shape == ax.EVAL_SUB_CLASS else SUBEVALR
     left, ctx_class, right = axiom.args
     if not axiom.nominal_ctx:
         return {(relation, left, ctx_class, right, ctx)}
@@ -126,26 +114,18 @@ def translate_axiom(axiom: Axiom, ctx: Term) -> set[Fact]:
 
 def output_translation(axiom: Axiom, ctx: Term) -> Fact:
     """Instance-checking translation; defined for ABox assertions only."""
-    if axiom.shape == ax.CONCEPT_ASSERT:
-        return (INST, axiom.args[1], axiom.args[0], ctx)
-    if axiom.shape == ax.ROLE_ASSERT:
-        return (TRIPLE, axiom.args[1], axiom.args[0], axiom.args[2], ctx)
-    raise InstanceQueryError(f"not an instance query: {axiom!r}")
-
-
-# Inverse of translate_rl, used when inferred facts are written back as RDF.
-_RELATION_SHAPES = {rel: shape for shape, rel in _DIRECT_SHAPES.items()}
+    if not axiom.is_assertion:
+        raise InstanceQueryError(f"not an instance query: {axiom!r}")
+    (fact,) = translate_rl(axiom, ctx)
+    return fact
 
 
 def fact_to_axiom(f: Fact) -> Axiom:
-    relation, args = f[0], f[1:-1]
-    if relation == INST:
-        return Axiom(ax.CONCEPT_ASSERT, (args[1], args[0]))
-    if relation == TRIPLE:
-        return Axiom(ax.ROLE_ASSERT, (args[1], args[0], args[2]))
-    if relation == NTRIPLE:
-        return Axiom(ax.NEG_ROLE_ASSERT, (args[1], args[0], args[2]))
-    shape = _RELATION_SHAPES.get(relation)
+    """The axiom that translate_rl maps to a fact; used when inferred facts
+    are written back as RDF."""
+    shape = _RELATION_SHAPE.get(f[0])
     if shape is None:
-        raise TranslationError(f"{relation} facts have no RDF form")
-    return Axiom(shape, args)
+        raise TranslationError(f"{f[0]} facts have no RDF form")
+    # translate_rl's argument order is its own inverse
+    (back,) = translate_rl(Axiom(shape, f[1:-1]), f[-1])
+    return Axiom(shape, back[1:-1])

@@ -35,7 +35,7 @@ from ckrbench.generator import (
     generate_ckr,
 )
 from ckrbench.model.axioms import CONCEPT_ASSERT, ROLE_ASSERT, axiom
-from ckrbench.model.repository import assemble_repository
+from ckrbench.model.repository import CkrRepository, assemble_repository
 from ckrbench.namespaces import RDF_TYPE, STANDARD_PREFIXES
 from ckrbench.rdf.terms import Term, iri
 from ckrbench.rdf.trig import load_path, write_dataset, write_path
@@ -62,9 +62,16 @@ def _resolve(text: str) -> Term:
     return iri(text)
 
 
+def _assemble(path: str) -> CkrRepository:
+    """The repository of a TriG/Turtle file, its warnings logged."""
+    repo = assemble_repository(load_path(path))
+    for warning in repo.warnings:
+        logger.warning("%s: %s", path, warning)
+    return repo
+
+
 def cmd_closure(args: argparse.Namespace) -> int:
-    dataset = load_path(args.input)
-    repo = assemble_repository(dataset)
+    repo = _assemble(args.input)
     regime = instantiate_ruleset(args.regime)
     result = compute_closure(repo, regime, args.timeout_ms)
     report = {
@@ -96,8 +103,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    dataset = load_path(args.input)
-    repo = assemble_repository(dataset)
+    repo = _assemble(args.input)
     regime = instantiate_ruleset(args.regime)
     s, o = _resolve(args.subject), _resolve(args.object)
     if args.predicate == "a" or _resolve(args.predicate) == RDF_TYPE:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import gc
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -134,32 +135,15 @@ class ClosureResult:
         return out
 
 
-class _Clock:
-    def __init__(self) -> None:
-        self.t0 = time.perf_counter()
-        self.stage_ms: dict[str, float] = {}
-
-    def stage(self, name: str) -> "_StageTimer":
-        return _StageTimer(self, name)
-
-    @property
-    def elapsed_ms(self) -> float:
-        return (time.perf_counter() - self.t0) * 1000.0
-
-
-class _StageTimer:
-    def __init__(self, clock: _Clock, name: str) -> None:
-        self.clock = clock
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        took = (time.perf_counter() - self.start) * 1000.0
-        self.clock.stage_ms[self.name] = self.clock.stage_ms.get(self.name, 0.0) + took
-        return False
+@contextmanager
+def _stage(stage_ms: dict[str, float], name: str) -> Iterator[None]:
+    """Add the time spent in the block to ``stage_ms[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        took = (time.perf_counter() - start) * 1000.0
+        stage_ms[name] = stage_ms.get(name, 0.0) + took
 
 
 def compute_closure(
@@ -175,8 +159,9 @@ def compute_closure(
             return compute_closure(repo, regime, budget_millis)
         finally:
             gc.enable()
-    clock = _Clock()
-    deadline = clock.t0 + budget_millis / 1000.0
+    t0 = time.perf_counter()
+    deadline = t0 + budget_millis / 1000.0
+    stage_ms: dict[str, float] = {}
     table = TermTable()
     store = FactStore()
     asserted: dict[str, set[IntFact]] = {}  # asserted facts per relation
@@ -193,16 +178,16 @@ def compute_closure(
     mod_assoc: set[tuple[Term, Term]] = set()
 
     try:
-        with clock.stage("global"):
+        with _stage(stage_ms, "global"):
             for ax in repo.global_axioms:
                 add_facts(cal.translate_rl(ax, GLOBAL_GRAPH), is_asserted=True)
             run_fixpoint(store, compile_rules(regime.global_rules, table.intern), deadline)
 
-        with clock.stage("assoc"):
+        with _stage(stage_ms, "assoc"):
             contexts, mod_assoc = _read_associations(store, table, repo)
 
         if regime.local_rules is not None:
-            with clock.stage("local"):
+            with _stage(stage_ms, "local"):
                 not_iri = sorted(c for c in contexts if c.kind != "iri")
                 if not_iri:
                     raise AssemblyError(
@@ -224,7 +209,7 @@ def compute_closure(
     inference_quads: list[Quad] = []
     inconsistent: set[Term] = set()
     if not timed_out:
-        with clock.stage("materialize"):
+        with _stage(stage_ms, "materialize"):
             inference_quads, inconsistent = _materialize(
                 store, table, asserted, repo, contexts
             )
@@ -239,8 +224,8 @@ def compute_closure(
         inferred_fact_count=max(total_facts - asserted_facts, 0),
         asserted_quad_count=len(repo.dataset),
         inferred_quad_count=len(inference_quads),
-        per_stage_ms=clock.stage_ms,
-        total_ms=clock.elapsed_ms,
+        per_stage_ms=stage_ms,
+        total_ms=(time.perf_counter() - t0) * 1000.0,
         contexts=contexts,
         mod_assoc=mod_assoc,
         inconsistent_contexts=inconsistent,
@@ -293,8 +278,8 @@ def _materialize(
     repo: CkrRepository,
     contexts: set[Term],
 ) -> tuple[list[Quad], set[Term]]:
-    """The quads of every non-asserted fact that the dataset lacks and can
-    hold, plus the module links of the inference graphs they go to, in no
+    """The quads, each once, of every non-asserted fact that the dataset
+    lacks and can hold, plus the module links of the inference graphs they go to, in no
     particular order; and the inconsistent contexts.  A fact whose quad no
     dataset holds (a literal subject, a predicate that is not an IRI) stays in
     the facts only."""
@@ -303,7 +288,7 @@ def _materialize(
     inconsistent = {term(enc[0]) for enc in store.rels.get(cal.UNSAT, ())}
     targets: dict[Term, Term] = {}  # context -> its inference graph
     linked: set[Term] = set()  # contexts that received a quad
-    quads: list[Quad] = []
+    quads: set[Quad] = set()  # unsat(c) and inst(c, ckr:Inconsistent, c) share one
     for rel, bucket in store.rels.items():
         known = asserted.get(rel, ())
         for enc in bucket:
@@ -317,7 +302,7 @@ def _materialize(
             for s, p, o in _fact_triples(f):
                 quad = Quad(s, p, o, target)
                 if quad not in dataset and is_valid_quad(quad):
-                    quads.append(quad)
+                    quads.add(quad)
                     linked.add(ctx)
 
     g_inf = inference_graph(GLOBAL_GRAPH)
@@ -325,8 +310,8 @@ def _materialize(
         if ctx != GLOBAL_GRAPH and ctx in contexts:
             link = Quad(ctx, MOD_PROPERTY, targets[ctx], g_inf)
             if link not in dataset:
-                quads.append(link)
-    return quads, inconsistent
+                quads.add(link)
+    return list(quads), inconsistent
 
 
 def _fact_triples(f: Fact) -> list[tuple[Term, Term, Term]]:

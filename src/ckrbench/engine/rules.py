@@ -230,12 +230,6 @@ class Regime:
     global_rules: tuple[Rule, ...]
     local_rules: tuple[Rule, ...] | None  # None: no local reasoning stage
 
-    @property
-    def stages(self) -> tuple[str, ...]:
-        if self.local_rules is None:
-            return ("global", "assoc")
-        return ("global", "assoc", "local")
-
 
 def instantiate_ruleset(regime_id: str) -> Regime:
     if regime_id == "ckr-rdfs-global":

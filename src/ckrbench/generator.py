@@ -56,6 +56,15 @@ RBOX_WEIGHTS: tuple[tuple[str, int], ...] = (
 
 FAMILY_WEIGHTS = {"tbox": TBOX_WEIGHTS, "abox": ABOX_WEIGHTS, "rbox": RBOX_WEIGHTS}
 
+
+def family_of(shape: str) -> str:
+    """The family whose percentage table the shape is drawn from."""
+    for family, weights in FAMILY_WEIGHTS.items():
+        if shape in dict(weights):
+            return family
+    raise ValueError(f"{shape} is not drawn from a family table")
+
+
 # Exact largest-remainder allocation below this count, weighted draws above:
 # small modules must still be representative of the percentage table.
 EXACT_ALLOCATION_MAX = 1000
@@ -192,29 +201,8 @@ _DISTINCT_ARGS: dict[str, tuple[int, ...]] = {
     ax.DIS_ROLE: (0, 1),
 }
 
-_SHAPE_ARG_KINDS: dict[str, tuple[str, ...]] = {
-    ax.SUB_CLASS: ("class", "class"),
-    ax.SUB_CLASS_NEG: ("class", "class"),
-    ax.SUB_HAS_VALUE: ("class", "role", "individual"),
-    ax.SUB_CONJ: ("class", "class", "class"),
-    ax.SUB_EX: ("role", "class", "class"),
-    ax.SUP_ALL: ("class", "role", "class"),
-    ax.SUP_MAX1: ("class", "role", "class"),
-    ax.CONCEPT_ASSERT: ("class", "individual"),
-    ax.ROLE_ASSERT: ("role", "individual", "individual"),
-    ax.NEG_ROLE_ASSERT: ("role", "individual", "individual"),
-    ax.SAME: ("individual", "individual"),
-    ax.DIFFERENT: ("individual", "individual"),
-    ax.SUB_ROLE: ("role", "role"),
-    ax.INV_ROLE: ("role", "role"),
-    ax.ROLE_CHAIN: ("role", "role", "role"),
-    ax.DIS_ROLE: ("role", "role"),
-    ax.IRR_ROLE: ("role",),
-}
-
-
 def sample_axiom(shape: str, params: GenParams, rng: random.Random) -> Axiom:
-    kinds = _SHAPE_ARG_KINDS[shape]
+    kinds = ax.SHAPE_SORTS[shape]
     distinct = _DISTINCT_ARGS.get(shape, ())
     for _ in range(_MAX_RESAMPLE):
         args = tuple(sample_symbol(kind, params, rng) for kind in kinds)

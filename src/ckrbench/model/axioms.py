@@ -1,9 +1,11 @@
 """Normal-form axioms.
 
 Nineteen shapes: seventeen plain description-logic normal forms (the TBox,
-ABox and RBox families below) plus the two eval-inclusion shapes that pull
-knowledge across contexts.  Concept/role arguments are atomic names;
-individuals may additionally be blank nodes.
+ABox and RBox groups below) plus the two eval-inclusion shapes that pull
+knowledge across contexts.  ``SHAPE_SORTS`` says what each shape is: the
+sort of every argument, ``"class"``, ``"role"`` or ``"individual"``, in
+argument order.  Class and role arguments are atomic names; individuals may
+additionally be blank nodes.
 """
 from __future__ import annotations
 
@@ -35,40 +37,30 @@ IRR_ROLE = "IrrRole"  # Irr(R)
 EVAL_SUB_CLASS = "EvalSubClass"  # eval(A, C) <= B
 EVAL_SUB_ROLE = "EvalSubRole"  # eval(R, C) <= S
 
-TBOX_SHAPES = (
-    SUB_CLASS,
-    SUB_CLASS_NEG,
-    SUB_HAS_VALUE,
-    SUB_CONJ,
-    SUB_EX,
-    SUP_ALL,
-    SUP_MAX1,
-)
-ABOX_SHAPES = (CONCEPT_ASSERT, ROLE_ASSERT, NEG_ROLE_ASSERT, SAME, DIFFERENT)
-RBOX_SHAPES = (SUB_ROLE, INV_ROLE, ROLE_CHAIN, DIS_ROLE, IRR_ROLE)
 EVAL_SHAPES = (EVAL_SUB_CLASS, EVAL_SUB_ROLE)
-ALL_SHAPES = TBOX_SHAPES + ABOX_SHAPES + RBOX_SHAPES + EVAL_SHAPES
 
-SHAPE_ARITY: dict[str, int] = {
-    SUB_CLASS: 2,
-    SUB_CLASS_NEG: 2,
-    SUB_HAS_VALUE: 3,
-    SUB_CONJ: 3,
-    SUB_EX: 3,
-    SUP_ALL: 3,
-    SUP_MAX1: 3,
-    CONCEPT_ASSERT: 2,
-    ROLE_ASSERT: 3,
-    NEG_ROLE_ASSERT: 3,
-    SAME: 2,
-    DIFFERENT: 2,
-    SUB_ROLE: 2,
-    INV_ROLE: 2,
-    ROLE_CHAIN: 3,
-    DIS_ROLE: 2,
-    IRR_ROLE: 1,
-    EVAL_SUB_CLASS: 3,
-    EVAL_SUB_ROLE: 3,
+#: The sort of each argument, in argument order: what a normal form is.
+#: Arity, generation and the reserved-name check all read this table.
+SHAPE_SORTS: dict[str, tuple[str, ...]] = {
+    SUB_CLASS: ("class", "class"),
+    SUB_CLASS_NEG: ("class", "class"),
+    SUB_HAS_VALUE: ("class", "role", "individual"),
+    SUB_CONJ: ("class", "class", "class"),
+    SUB_EX: ("role", "class", "class"),
+    SUP_ALL: ("class", "role", "class"),
+    SUP_MAX1: ("class", "role", "class"),
+    CONCEPT_ASSERT: ("class", "individual"),
+    ROLE_ASSERT: ("role", "individual", "individual"),
+    NEG_ROLE_ASSERT: ("role", "individual", "individual"),
+    SAME: ("individual", "individual"),
+    DIFFERENT: ("individual", "individual"),
+    SUB_ROLE: ("role", "role"),
+    INV_ROLE: ("role", "role"),
+    ROLE_CHAIN: ("role", "role", "role"),
+    DIS_ROLE: ("role", "role"),
+    IRR_ROLE: ("role",),
+    EVAL_SUB_CLASS: ("class", "class", "class"),
+    EVAL_SUB_ROLE: ("role", "class", "role"),
 }
 
 
@@ -86,9 +78,10 @@ class Axiom:
     nominal_ctx: bool = field(default=False)
 
     def __post_init__(self) -> None:
-        arity = SHAPE_ARITY.get(self.shape)
-        if arity is None:
+        sorts = SHAPE_SORTS.get(self.shape)
+        if sorts is None:
             raise ValueError(f"unknown axiom shape: {self.shape!r}")
+        arity = len(sorts)
         if len(self.args) != arity:
             raise ValueError(
                 f"{self.shape} expects {arity} arguments, got {len(self.args)}"
@@ -104,7 +97,7 @@ class Axiom:
     def is_assertion(self) -> bool:
         return self.shape in (CONCEPT_ASSERT, ROLE_ASSERT)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)
         star = "{.}" if self.nominal_ctx else ""
         return f"{self.shape}{star}({inner})"
@@ -112,13 +105,3 @@ class Axiom:
 
 def axiom(shape: str, *args: Term, nominal_ctx: bool = False) -> Axiom:
     return Axiom(shape, tuple(args), nominal_ctx)
-
-
-def family_of(shape: str) -> str:
-    if shape in TBOX_SHAPES:
-        return "tbox"
-    if shape in ABOX_SHAPES:
-        return "abox"
-    if shape in RBOX_SHAPES:
-        return "rbox"
-    return "eval"

@@ -1,10 +1,14 @@
 """Mapping between normal-form axioms and their RDF triple encodings.
 
 ``encode_axiom`` and ``parse_axioms`` are inverses: parsing the encoding of
-an axiom yields exactly that axiom back.  Auxiliary nodes (restriction nodes,
-list cells, negative-assertion reifications) are blank nodes when authoring
-modules and deterministic skolem IRIs when the closure engine writes
-inference graphs, so inference output re-parses without drift.
+an axiom yields exactly that axiom back, unless the axiom names an ``rdf:``,
+``rdfs:`` or ``owl:`` IRI where ``SHAPE_SORTS`` expects a class or a role.
+Such an axiom is dropped with a warning: those names are vocabulary, and a
+closure that reasoned over them would not read back as itself.  Auxiliary
+nodes (restriction nodes, list cells, negative-assertion reifications) are
+blank nodes when authoring modules and deterministic skolem IRIs when the
+closure engine writes inference graphs, so inference output re-parses
+without drift.
 
 Unrecognized triples are carried through untouched: anything that looks like
 a plain assertion becomes one, dangling uses of reserved vocabulary are
@@ -30,6 +34,7 @@ from ckrbench.model.axioms import (
     ROLE_ASSERT,
     ROLE_CHAIN,
     SAME,
+    SHAPE_SORTS,
     SUB_CLASS,
     SUB_CLASS_NEG,
     SUB_CONJ,
@@ -86,13 +91,21 @@ Minter = Callable[[], Term]
 
 _ONE = literal("1", XSD_NONNEGATIVEINTEGER)
 
+# Names in these namespaces are vocabulary: never a class or a role.
+_RESERVED = (RDF_NS, RDFS_NS, OWL_NS)
+# The argument positions of each shape that name a class or a role.
+_NAME_POSITIONS = {
+    shape: tuple(i for i, sort in enumerate(sorts) if sort != "individual")
+    for shape, sorts in SHAPE_SORTS.items()
+}
+
 
 class BlankMinter:
     """Sequential blank-node factory for deterministic module authoring."""
 
-    def __init__(self, prefix: str = "b", start: int = 0) -> None:
+    def __init__(self, prefix: str = "b") -> None:
         self.prefix = prefix
-        self.counter = itertools.count(start)
+        self.counter = itertools.count()
 
     def __call__(self) -> Term:
         return blank(f"{self.prefix}{next(self.counter)}")
@@ -335,7 +348,18 @@ def parse_axioms(
     _decode_subsumptions(view, axioms, warn, err)
     _decode_role_axioms(view, axioms, warn)
     _decode_assertions(view, axioms, warn)
+    for a in [a for a in axioms if _names_vocabulary(a)]:
+        warn(f"reserved vocabulary as a class or role name in {a!r}; axiom dropped")
+        axioms.remove(a)
     return axioms
+
+
+def _names_vocabulary(a: Axiom) -> bool:
+    for i in _NAME_POSITIONS[a.shape]:
+        t = a.args[i]
+        if t.kind == "iri" and t.lexical.startswith(_RESERVED):
+            return True
+    return False
 
 
 def _decode_negative_assertions(view: _GraphView, axioms, err) -> None:
@@ -489,14 +513,13 @@ def _decode_role_axioms(view, axioms, warn) -> None:
 
 
 def _decode_assertions(view, axioms, warn) -> None:
-    reserved = (RDF_NS, RDFS_NS, OWL_NS)
     for q in view.quads:
         if q in view.consumed:
             continue
         if q.p == RDF_TYPE:
             if q.o == OWL_IRREFLEXIVEPROPERTY:
                 axioms.add(axiom(IRR_ROLE, q.s))
-            elif q.o.kind == "iri" and not q.o.lexical.startswith(reserved):
+            elif q.o.kind == "iri" and not q.o.lexical.startswith(_RESERVED):
                 axioms.add(axiom(CONCEPT_ASSERT, q.o, q.s))
             elif q.o == OWL_RESTRICTION:
                 warn(f"dangling restriction node {q.s!r}")
@@ -508,7 +531,7 @@ def _decode_assertions(view, axioms, warn) -> None:
             if q.p in _COMPONENT_PREDICATES:
                 warn(f"dangling {q.p.lexical.rsplit('#', 1)[-1]} triple at {q.s!r}")
             continue
-        if q.p.lexical.startswith(reserved):
+        if q.p.lexical.startswith(_RESERVED):
             warn(f"unrecognized reserved-vocabulary triple {q.s!r} {q.p!r} {q.o!r}")
             continue
         if is_meta_term(q.p) and q.p != MOD_PROPERTY:

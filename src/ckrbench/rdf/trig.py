@@ -175,10 +175,8 @@ class _Parser:
     def parse(self) -> Dataset:
         while self.tok[0] != "EOF":
             kind, value, _ = self.tok
-            if kind == "PREFIX_DIRECTIVE":
+            if kind == "PREFIX_DIRECTIVE" or value in ("PREFIX", "BASE"):
                 self._directive()
-            elif value in ("PREFIX", "BASE"):
-                self._sparql_directive()
             elif value == "GRAPH":
                 self._next()
                 self._graph_block(self._node_or_fail("graph name"))
@@ -188,21 +186,17 @@ class _Parser:
         return self.dataset
 
     def _directive(self) -> None:
-        if self._next()[1] == "@prefix":
+        """``@prefix``/``@base``, closed by '.', or SPARQL ``PREFIX``/``BASE``."""
+        keyword = self._next()[1]
+        if keyword in ("@prefix", "PREFIX"):
             ns = self._expect("PNAME")
             if not ns[1].endswith(":"):
                 raise self._fail("malformed prefix declaration", ns)
             self.prefixes[ns[1][:-1]] = self._iri_value(self._expect("IRIREF"))
-        else:  # @base
-            self.base = self._iri_value(self._expect("IRIREF"))
-        self._expect("PUNCT", ".")
-
-    def _sparql_directive(self) -> None:
-        if self._next()[1] == "PREFIX":
-            ns = self._expect("PNAME")
-            self.prefixes[ns[1][:-1]] = self._iri_value(self._expect("IRIREF"))
         else:
             self.base = self._iri_value(self._expect("IRIREF"))
+        if keyword[0] == "@":
+            self._expect("PUNCT", ".")
 
     def _block_or_triples(self) -> None:
         if self.tok[0] in ("IRIREF", "PNAME"):

@@ -30,11 +30,11 @@ from ckrbench.generator import (
     build_ts1,
     build_ts2,
     build_ts3,
+    family_of,
     generate_ckr,
     generate_ckr_axioms,
     target_concept,
 )
-from ckrbench.model.axioms import family_of
 from ckrbench.model.repository import assemble_repository
 from ckrbench.rdf.trig import load_dataset, write_dataset
 

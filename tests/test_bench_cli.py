@@ -17,7 +17,7 @@ from ckrbench.bench import (
 from ckrbench.cli import main
 from ckrbench.generator import GenParams, build_ts2
 from ckrbench.rdf.trig import load_path, write_path
-from util import gen
+from util import PREAMBLE, gen
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,15 @@ def test_cli_closure_empty_input(tmp_path, capsys):
     empty.write_text("")
     assert main(["closure", str(empty)]) == 0
     assert json.loads(capsys.readouterr().out)["inferredQuads"] == 0
+
+
+def test_cli_logs_repository_warnings(tmp_path, capsys, caplog):
+    path = tmp_path / "reserved.trig"
+    path.write_text(PREAMBLE + ":C rdfs:subClassOf owl:Thing .")
+    assert main(["closure", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["inferredQuads"] == 0
+    (record,) = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert "reserved vocabulary" in record.getMessage()
 
 
 def test_cli_closure_timeout_exit_code(tmp_path, capsys):

@@ -50,10 +50,14 @@ def test_empty_repository_infers_nothing(regime_id):
 
 
 def test_regime_stages():
-    assert instantiate_ruleset("ckr-rdfs-global").stages == ("global", "assoc")
-    assert instantiate_ruleset("ckr-owl-local").stages == ("global", "assoc", "local")
+    stages = {r: list(closure(Dataset(), r).per_stage_ms) for r in REGIME_IDS}
+    assert stages == {
+        "ckr-rdfs-global": ["global", "assoc", "materialize"],
+        "ckr-rdfs-local": ["global", "assoc", "local", "materialize"],
+        "ckr-owl-global": ["global", "assoc", "materialize"],
+        "ckr-owl-local": ["global", "assoc", "local", "materialize"],
+    }
     rdfs_local = instantiate_ruleset("ckr-rdfs-local")
-    assert rdfs_local.stages == ("global", "assoc", "local")
     assert {r.name for r in rdfs_local.local_rules} == {"sub-class", "sub-role"}
     owl_local_names = {r.name for r in OWL_LOCAL.local_rules}
     assert {"eval-class", "eval-role"} <= owl_local_names
@@ -394,8 +398,19 @@ ONE_MODULE = "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . } "
             ':p owl:inverseOf "lit" . :a :p :b .',
             ("triple", gen("b"), literal("lit"), gen("a"), gen("c0")),
         ),
+        (
+            # unsat(c0) and inst(c0, ckr:Inconsistent, c0) write the same quad
+            ":c0 a :X , :Y . :X rdfs:subClassOf ckr:Inconsistent , "
+            "[ owl:complementOf :Y ] .",
+            ("unsat", gen("c0")),
+        ),
     ],
-    ids=["literal-subject-by-has-value", "literal-subject-by-eq-sym", "literal-predicate"],
+    ids=[
+        "literal-subject-by-has-value",
+        "literal-subject-by-eq-sym",
+        "literal-predicate",
+        "one-quad-for-two-facts",
+    ],
 )
 def test_facts_a_dataset_cannot_hold_stay_out_of_the_output(module, derived):
     result = closure(trig(ONE_MODULE + ":m0 { " + module + " }"))
@@ -404,6 +419,24 @@ def test_facts_a_dataset_cannot_hold_stay_out_of_the_output(module, derived):
     reloaded = load_dataset(out)
     assert len(reloaded) == result.asserted_quad_count + result.inferred_quad_count
     assert closure(reloaded).inferred_quad_count == 0
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        ":R rdfs:subPropertyOf rdf:type . :a :R :B . :B rdfs:subClassOf :B2 .",
+        ":R rdfs:subPropertyOf owl:sameAs . :a :R :b . :a :p :o .",
+        ":x a :C . :C rdfs:subClassOf owl:NegativePropertyAssertion .",
+        ":R a :C . :C rdfs:subClassOf owl:IrreflexiveProperty . :a :R :a .",
+    ],
+    ids=["role-under-rdf-type", "role-under-same-as", "class-under-npa", "class-under-irr"],
+)
+@pytest.mark.parametrize("regime_id", ["ckr-rdfs-local", "ckr-owl-local"])
+def test_reserved_names_are_no_class_or_role_names(module, regime_id):
+    d = trig(ONE_MODULE + ":m0 { " + module + " }")
+    assert any("reserved vocabulary" in w for w in assemble_repository(d).warnings)
+    reloaded = load_dataset(write_dataset(closure(d, regime_id).closed_dataset()))
+    assert closure(reloaded, regime_id).inferred_quad_count == 0
 
 
 @pytest.mark.parametrize(

@@ -112,8 +112,10 @@ def test_syntax_error_position_is_exact(body, line, column):
         # no subject can be a literal, and no graph name a blank node
         ('"lit" :p :o .', "expected subject, found '\"lit\"'", 7, 1),
         ("_:b { :s :p :o . }", "expected predicate, found '{'", 7, 5),
+        # a SPARQL-style prefix name is checked like an @prefix one
+        ("PREFIX ex:a <http://x.test/>\nex:s ex:p ex:o .", "malformed prefix declaration", 7, 8),
     ],
-    ids=["document-order", "literal-subject", "blank-graph-name"],
+    ids=["document-order", "literal-subject", "blank-graph-name", "sparql-prefix-name"],
 )
 def test_grammar_error_message_and_position(body, message, line, column):
     with pytest.raises(ParseError) as err:
