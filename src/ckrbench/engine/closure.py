@@ -279,18 +279,30 @@ def _materialize(
     contexts: set[Term],
 ) -> tuple[list[Quad], set[Term]]:
     """The quads, each once, of every non-asserted fact that the dataset
-    lacks and can hold, plus the module links of the inference graphs they go to, in no
-    particular order; and the inconsistent contexts.  A fact whose quad no
-    dataset holds (a literal subject, a predicate that is not an IRI) stays in
-    the facts only."""
+    lacks and can hold, plus the module links of the inference graphs they go
+    to, in no particular order; and the inconsistent contexts.  A fact whose
+    quad no dataset holds (a literal subject, a predicate that is not an IRI)
+    stays in the facts only."""
     dataset = repo.dataset
     term = table.term
-    inconsistent = {term(enc[0]) for enc in store.rels.get(cal.UNSAT, ())}
+    unsat = store.rels.get(cal.UNSAT, ())
+    inconsistent = {term(enc[0]) for enc in unsat}
+    # unsat(c) has the quad of inst(c, ckr:Inconsistent, c): write it for
+    # the inst fact alone when that fact is derived too.  No axiom asserts
+    # unsat, and the quads stay a list in fact order: hashing all of them
+    # makes materialize grow faster than the fact count.
+    inc = table.lookup(INCONSISTENT_CLASS)
+    inst = store.rels.get(cal.INST, ())
+    asserted_inst = asserted.get(cal.INST, ())
+    skip = {**asserted, cal.UNSAT: {
+        enc for enc in unsat
+        if (twin := (enc[0], inc, enc[0])) in inst and twin not in asserted_inst
+    }}
     targets: dict[Term, Term] = {}  # context -> its inference graph
     linked: set[Term] = set()  # contexts that received a quad
-    quads: set[Quad] = set()  # unsat(c) and inst(c, ckr:Inconsistent, c) share one
+    quads: list[Quad] = []
     for rel, bucket in store.rels.items():
-        known = asserted.get(rel, ())
+        known = skip.get(rel, ())
         for enc in bucket:
             if enc in known:
                 continue
@@ -302,7 +314,7 @@ def _materialize(
             for s, p, o in _fact_triples(f):
                 quad = Quad(s, p, o, target)
                 if quad not in dataset and is_valid_quad(quad):
-                    quads.add(quad)
+                    quads.append(quad)
                     linked.add(ctx)
 
     g_inf = inference_graph(GLOBAL_GRAPH)
@@ -310,8 +322,8 @@ def _materialize(
         if ctx != GLOBAL_GRAPH and ctx in contexts:
             link = Quad(ctx, MOD_PROPERTY, targets[ctx], g_inf)
             if link not in dataset:
-                quads.add(link)
-    return list(quads), inconsistent
+                quads.append(link)
+    return quads, inconsistent
 
 
 def _fact_triples(f: Fact) -> list[tuple[Term, Term, Term]]:
