@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from ckrbench import __version__
 from ckrbench.bench import bench_suite, connection_sweep_fit, write_csv
 from ckrbench.engine.closure import DEFAULT_BUDGET_MILLIS, check_entailment, compute_closure
 from ckrbench.engine.rules import REGIME_IDS, instantiate_ruleset
-from ckrbench.errors import CkrError
+from ckrbench.errors import CkrError, UsageError
 from ckrbench.generator import (
     DESK_SWEEP,
     FULL_SWEEP,
@@ -38,7 +37,7 @@ from ckrbench.model.axioms import CONCEPT_ASSERT, ROLE_ASSERT, axiom
 from ckrbench.model.repository import CkrRepository, assemble_repository
 from ckrbench.namespaces import RDF_TYPE, STANDARD_PREFIXES
 from ckrbench.rdf.terms import Term, iri
-from ckrbench.rdf.trig import load_path, write_dataset, write_path
+from ckrbench.rdf.trig import decode_utf8, load_path, write_dataset, write_path
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -48,18 +47,22 @@ EXIT_TIMEOUT = 3
 logger = logging.getLogger("ckrbench")
 
 
-def _default_regime() -> str:
-    return os.environ.get("CKR_DEFAULT_REGIME", "ckr-owl-local")
+DEFAULT_REGIME = "ckr-owl-local"
 
 
 def _resolve(text: str) -> Term:
     """CURIE or <iri> from the standard prefix table."""
-    if text.startswith("<") and text.endswith(">"):
-        return iri(text[1:-1])
     prefix, sep, local = text.partition(":")
-    if sep and prefix in STANDARD_PREFIXES and "//" not in local:
-        return iri(STANDARD_PREFIXES[prefix] + local)
-    return iri(text)
+    if text.startswith("<") and text.endswith(">"):
+        lexical = text[1:-1]
+    elif sep and prefix in STANDARD_PREFIXES and "//" not in local:
+        lexical = STANDARD_PREFIXES[prefix] + local
+    else:
+        lexical = text
+    try:
+        return iri(lexical)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _assemble(path: str) -> CkrRepository:
@@ -118,7 +121,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    params = GenParams.from_text(Path(args.params).read_text())
+    params = GenParams.from_text(decode_utf8(Path(args.params).read_bytes()))
     if args.seed is not None:
         params = dataclasses.replace(params, seed=args.seed)
     dataset = generate_ckr(params)
@@ -159,8 +162,14 @@ def cmd_gen_suite(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     regimes = [r.strip() for r in args.regimes.split(",") if r.strip()]
+    if not regimes:
+        raise UsageError(f"--regimes {args.regimes!r} names no regime")
     for r in regimes:
-        instantiate_ruleset(r)  # validate early
+        if r not in REGIME_IDS:
+            choices = ", ".join(REGIME_IDS)
+            raise UsageError(f"unknown regime id {r!r}; choose from {choices}")
+    if args.runs < 1:
+        raise UsageError(f"--runs must be at least 1, not {args.runs}")
     records = bench_suite(
         args.suite_dir,
         regimes,
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="materialize the inference closure")
     p.add_argument("input", help="TriG/Turtle input file")
-    p.add_argument("--regime", default=_default_regime(), choices=REGIME_IDS)
+    p.add_argument("--regime", default=DEFAULT_REGIME, choices=REGIME_IDS)
     p.add_argument("--out", help="write the closed dataset here (TriG)")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.add_argument("--timeout-ms", type=int, default=DEFAULT_BUDGET_MILLIS)
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subject")
     p.add_argument("predicate", help="predicate, or 'a'/rdf:type for class membership")
     p.add_argument("object")
-    p.add_argument("--regime", default=_default_regime(), choices=REGIME_IDS)
+    p.add_argument("--regime", default=DEFAULT_REGIME, choices=REGIME_IDS)
     p.add_argument("--timeout-ms", type=int, default=DEFAULT_BUDGET_MILLIS)
     p.set_defaults(func=cmd_check)
 

@@ -44,4 +44,9 @@ class BudgetExceeded(CkrError):
 
 
 class GeneratorError(CkrError):
-    """Synthetic generation could not satisfy the requested parameters."""
+    """Synthetic generation could not satisfy the requested parameters, or a
+    parameter file is malformed."""
+
+
+class UsageError(CkrError):
+    """A command-line argument is malformed."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from ckrbench.errors import GeneratorError
 from ckrbench.model import axioms as ax
@@ -114,18 +114,31 @@ class GenParams:
 
     @classmethod
     def from_text(cls, text: str) -> "GenParams":
+        """The parameters of ``key=value`` lines; a GeneratorError names an
+        unknown, missing, non-integer or out-of-range parameter."""
+        names = {f.name for f in fields(cls)}
         values: dict[str, object] = {}
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key == "label":
-                values[key] = value.strip()
-            else:
-                values[key] = int(value.strip())
-        return cls(**values)  # type: ignore[arg-type]
+            key, value = key.strip(), value.strip()
+            if key not in names:
+                raise GeneratorError(f"unknown parameter {key!r}")
+            try:
+                values[key] = value if key == "label" else int(value)
+            except ValueError:
+                raise GeneratorError(f"{key} is not an integer: {value!r}") from None
+        missing = [
+            f.name for f in fields(cls) if f.default is MISSING and f.name not in values
+        ]
+        if missing:
+            raise GeneratorError(f"missing parameters: {', '.join(missing)}")
+        try:
+            return cls(**values)  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise GeneratorError(str(exc)) from None
 
 
 def class_term(i: int) -> Term:

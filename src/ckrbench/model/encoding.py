@@ -1,5 +1,7 @@
 """Mapping between normal-form axioms and their RDF triple encodings.
 
+``RDF_FORMS`` gives the RDF form of every normal form: ``encode_axiom`` is
+compiled from it, and the reader takes its predicates from it.
 ``encode_axiom`` and ``parse_axioms`` are inverses: parsing the encoding of
 an axiom yields exactly that axiom back, unless the axiom names an ``rdf:``,
 ``rdfs:`` or ``owl:`` IRI where ``SHAPE_SORTS`` expects a class or a role.
@@ -131,107 +133,94 @@ def _is_aux(t: Term) -> bool:
     return t.kind == "blank" or (t.kind == "iri" and t.lexical.startswith(SKOLEM_NS))
 
 
+_RESTRICTION = ("n", RDF_TYPE, OWL_RESTRICTION)
+# the list (a[0] a[1]) at node l1, and the nominal context {a[1]} of node n
+_TWO_ITEMS = (
+    ("l1", RDF_FIRST, 0), ("l1", RDF_REST, "l2"),
+    ("l2", RDF_FIRST, 1), ("l2", RDF_REST, RDF_NIL),
+)
+_NOMINAL_CTX = (
+    ("n", EVAL_IN, "m"), ("m", OWL_ONEOF, "c"),
+    ("c", RDF_FIRST, 1), ("c", RDF_REST, RDF_NIL),
+)
+
+#: The RDF form of each normal form, keyed by shape and ``nominal_ctx``, as
+#: in the OWL 2 mapping to RDF graphs: its triple patterns, the linking
+#: triple first.  In a pattern an int is an argument position, a str an
+#: auxiliary node minted in order of first use, and anything else that term.
+RDF_FORMS: dict[tuple[str, bool], tuple[tuple, ...]] = {
+    (SUB_CLASS, False): ((0, RDFS_SUBCLASSOF, 1),),
+    (SUB_CLASS_NEG, False): ((0, RDFS_SUBCLASSOF, "n"), ("n", OWL_COMPLEMENTOF, 1)),
+    (SUB_HAS_VALUE, False): (
+        (0, RDFS_SUBCLASSOF, "n"), _RESTRICTION,
+        ("n", OWL_ONPROPERTY, 1), ("n", OWL_HASVALUE, 2),
+    ),
+    (SUB_CONJ, False): (
+        ("n", RDFS_SUBCLASSOF, 2), ("n", OWL_INTERSECTIONOF, "l1"), *_TWO_ITEMS
+    ),
+    (SUB_EX, False): (
+        ("n", RDFS_SUBCLASSOF, 2), _RESTRICTION,
+        ("n", OWL_ONPROPERTY, 0), ("n", OWL_SOMEVALUESFROM, 1),
+    ),
+    (SUP_ALL, False): (
+        (0, RDFS_SUBCLASSOF, "n"), _RESTRICTION,
+        ("n", OWL_ONPROPERTY, 1), ("n", OWL_ALLVALUESFROM, 2),
+    ),
+    (SUP_MAX1, False): (
+        (0, RDFS_SUBCLASSOF, "n"), _RESTRICTION, ("n", OWL_ONPROPERTY, 1),
+        ("n", OWL_MAXQUALIFIEDCARDINALITY, _ONE), ("n", OWL_ONCLASS, 2),
+    ),
+    (CONCEPT_ASSERT, False): ((1, RDF_TYPE, 0),),
+    (ROLE_ASSERT, False): ((1, 0, 2),),
+    (NEG_ROLE_ASSERT, False): (
+        ("n", RDF_TYPE, OWL_NEGATIVEPROPERTYASSERTION), ("n", OWL_SOURCEINDIVIDUAL, 1),
+        ("n", OWL_ASSERTIONPROPERTY, 0), ("n", OWL_TARGETINDIVIDUAL, 2),
+    ),
+    (SAME, False): ((0, OWL_SAMEAS, 1),),
+    (DIFFERENT, False): ((0, OWL_DIFFERENTFROM, 1),),
+    (SUB_ROLE, False): ((0, RDFS_SUBPROPERTYOF, 1),),
+    (INV_ROLE, False): ((0, OWL_INVERSEOF, 1),),
+    (ROLE_CHAIN, False): ((2, OWL_PROPERTYCHAINAXIOM, "l1"), *_TWO_ITEMS),
+    (DIS_ROLE, False): ((0, OWL_PROPERTYDISJOINTWITH, 1),),
+    (IRR_ROLE, False): ((0, RDF_TYPE, OWL_IRREFLEXIVEPROPERTY),),
+    (EVAL_SUB_CLASS, False): (
+        ("n", RDFS_SUBCLASSOF, 2), ("n", EVAL_OF, 0), ("n", EVAL_IN, 1)
+    ),
+    (EVAL_SUB_CLASS, True): (("n", RDFS_SUBCLASSOF, 2), ("n", EVAL_OF, 0), *_NOMINAL_CTX),
+    (EVAL_SUB_ROLE, False): (
+        ("n", RDFS_SUBPROPERTYOF, 2), ("n", EVAL_OF, 0), ("n", EVAL_IN, 1)
+    ),
+    (EVAL_SUB_ROLE, True): (("n", RDFS_SUBPROPERTYOF, 2), ("n", EVAL_OF, 0), *_NOMINAL_CTX),
+}
+
+
+def _compile(form: tuple[tuple, ...]) -> Callable[[tuple[Term, ...], Minter], list[Triple]]:
+    """The form as a function of (args, mint) that builds its triples in one
+    list display, minting each auxiliary node where it is first used.  A walk
+    over the patterns on every call would cost two to three times as much."""
+    terms: dict[str, Term] = {}
+    minted: set[str] = set()
+
+    def source(x) -> str:
+        if isinstance(x, int):
+            return f"a[{x}]"
+        if isinstance(x, str):
+            first = x not in minted
+            minted.add(x)
+            return f"(_{x} := mint())" if first else f"_{x}"
+        terms[f"t{len(terms)}"] = x
+        return f"t{len(terms) - 1}"
+
+    triples = ", ".join(f"({', '.join(map(source, t))})" for t in form)
+    return eval(f"lambda a, mint: [{triples}]", terms)
+
+
+_ENCODERS = {key: _compile(form) for key, form in RDF_FORMS.items()}
+
+
 def encode_axiom(ax: Axiom, mint: Minter) -> list[Triple]:
     """Triples encoding one axiom (auxiliary nodes from ``mint``)."""
-    a = ax.args
-    shape = ax.shape
-    if shape == SUB_CLASS:
-        return [(a[0], RDFS_SUBCLASSOF, a[1])]
-    if shape == SUB_CLASS_NEG:
-        n = mint()
-        return [(a[0], RDFS_SUBCLASSOF, n), (n, OWL_COMPLEMENTOF, a[1])]
-    if shape == SUB_HAS_VALUE:
-        n = mint()
-        return [
-            (a[0], RDFS_SUBCLASSOF, n),
-            (n, RDF_TYPE, OWL_RESTRICTION),
-            (n, OWL_ONPROPERTY, a[1]),
-            (n, OWL_HASVALUE, a[2]),
-        ]
-    if shape == SUB_CONJ:
-        n, l1, l2 = mint(), mint(), mint()
-        return [
-            (n, RDFS_SUBCLASSOF, a[2]),
-            (n, OWL_INTERSECTIONOF, l1),
-            (l1, RDF_FIRST, a[0]),
-            (l1, RDF_REST, l2),
-            (l2, RDF_FIRST, a[1]),
-            (l2, RDF_REST, RDF_NIL),
-        ]
-    if shape == SUB_EX:
-        n = mint()
-        return [
-            (n, RDFS_SUBCLASSOF, a[2]),
-            (n, RDF_TYPE, OWL_RESTRICTION),
-            (n, OWL_ONPROPERTY, a[0]),
-            (n, OWL_SOMEVALUESFROM, a[1]),
-        ]
-    if shape == SUP_ALL:
-        n = mint()
-        return [
-            (a[0], RDFS_SUBCLASSOF, n),
-            (n, RDF_TYPE, OWL_RESTRICTION),
-            (n, OWL_ONPROPERTY, a[1]),
-            (n, OWL_ALLVALUESFROM, a[2]),
-        ]
-    if shape == SUP_MAX1:
-        n = mint()
-        return [
-            (a[0], RDFS_SUBCLASSOF, n),
-            (n, RDF_TYPE, OWL_RESTRICTION),
-            (n, OWL_ONPROPERTY, a[1]),
-            (n, OWL_MAXQUALIFIEDCARDINALITY, _ONE),
-            (n, OWL_ONCLASS, a[2]),
-        ]
-    if shape == CONCEPT_ASSERT:
-        return [(a[1], RDF_TYPE, a[0])]
-    if shape == ROLE_ASSERT:
-        return [(a[1], a[0], a[2])]
-    if shape == NEG_ROLE_ASSERT:
-        n = mint()
-        return [
-            (n, RDF_TYPE, OWL_NEGATIVEPROPERTYASSERTION),
-            (n, OWL_SOURCEINDIVIDUAL, a[1]),
-            (n, OWL_ASSERTIONPROPERTY, a[0]),
-            (n, OWL_TARGETINDIVIDUAL, a[2]),
-        ]
-    if shape == SAME:
-        return [(a[0], OWL_SAMEAS, a[1])]
-    if shape == DIFFERENT:
-        return [(a[0], OWL_DIFFERENTFROM, a[1])]
-    if shape == SUB_ROLE:
-        return [(a[0], RDFS_SUBPROPERTYOF, a[1])]
-    if shape == INV_ROLE:
-        return [(a[0], OWL_INVERSEOF, a[1])]
-    if shape == ROLE_CHAIN:
-        l1, l2 = mint(), mint()
-        return [
-            (a[2], OWL_PROPERTYCHAINAXIOM, l1),
-            (l1, RDF_FIRST, a[0]),
-            (l1, RDF_REST, l2),
-            (l2, RDF_FIRST, a[1]),
-            (l2, RDF_REST, RDF_NIL),
-        ]
-    if shape == DIS_ROLE:
-        return [(a[0], OWL_PROPERTYDISJOINTWITH, a[1])]
-    if shape == IRR_ROLE:
-        return [(a[0], RDF_TYPE, OWL_IRREFLEXIVEPROPERTY)]
-    if shape in (EVAL_SUB_CLASS, EVAL_SUB_ROLE):
-        n = mint()
-        link = RDFS_SUBCLASSOF if shape == EVAL_SUB_CLASS else RDFS_SUBPROPERTYOF
-        triples = [(n, EVAL_OF, a[0]), (n, link, a[2])]
-        if ax.nominal_ctx:
-            m, cell = mint(), mint()
-            triples += [
-                (n, EVAL_IN, m),
-                (m, OWL_ONEOF, cell),
-                (cell, RDF_FIRST, a[1]),
-                (cell, RDF_REST, RDF_NIL),
-            ]
-        else:
-            triples.append((n, EVAL_IN, a[1]))
-        return triples
-    raise ValueError(f"unknown axiom shape: {shape!r}")  # pragma: no cover
+    return _ENCODERS[ax.shape, ax.nominal_ctx](ax.args, mint)
 
 
 def encode_axioms(
@@ -252,41 +241,18 @@ def encode_axioms(
 # parsing
 # ---------------------------------------------------------------------------
 
-_HANDLED_PREDICATES = {
-    RDFS_SUBCLASSOF,
-    RDFS_SUBPROPERTYOF,
-    OWL_INVERSEOF,
-    OWL_PROPERTYCHAINAXIOM,
-    OWL_PROPERTYDISJOINTWITH,
-    OWL_SAMEAS,
-    OWL_DIFFERENTFROM,
-}
-
-_COMPONENT_PREDICATES = {
-    OWL_COMPLEMENTOF,
-    OWL_ONPROPERTY,
-    OWL_HASVALUE,
-    OWL_SOMEVALUESFROM,
-    OWL_ALLVALUESFROM,
-    OWL_INTERSECTIONOF,
-    OWL_MAXQUALIFIEDCARDINALITY,
-    OWL_ONCLASS,
-    OWL_ONEOF,
-    OWL_SOURCEINDIVIDUAL,
-    OWL_ASSERTIONPROPERTY,
-    OWL_TARGETINDIVIDUAL,
-    RDF_FIRST,
-    RDF_REST,
-    EVAL_OF,
-    EVAL_IN,
-}
+# Each form's linking predicate, and the predicates of its other triples:
+# rdf:type is neither, as assertions link by it too, and so is a[0], the
+# predicate of a role assertion.
+_LINKS = {form[0][1] for form in RDF_FORMS.values()}
+_HANDLED_PREDICATES = _LINKS - {RDF_TYPE, 0}
+_COMPONENT_PREDICATES = {p for form in RDF_FORMS.values() for _, p, _ in form[1:]} - _LINKS
 
 
 class _GraphView:
     """Per-graph quad access with consumption tracking."""
 
     def __init__(self, dataset: Dataset, graph: Term) -> None:
-        self.graph = graph
         self.quads = sorted(dataset.graph(graph))
         self.by_s: dict[Term, list[Quad]] = {}
         self.by_p: dict[Term, list[Quad]] = {}
@@ -375,14 +341,6 @@ def _decode_negative_assertions(view: _GraphView, axioms, err) -> None:
         view.consume(q, src, prop, tgt)
 
 
-def _decode_restriction(view, node, err) -> Quad:
-    """The ``owl:onProperty`` quad of a restriction node."""
-    on_prop = view.single(node, OWL_ONPROPERTY)
-    if on_prop is None:
-        raise err("restriction is missing owl:onProperty", node)
-    return on_prop
-
-
 def _decode_subsumptions(view, axioms, warn, err) -> None:
     for q in list(view.by_p.get(RDFS_SUBCLASSOF, ())):
         if q in view.consumed:
@@ -394,38 +352,21 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
             continue
         if _is_aux(sup) and _atomic(sub):
             props = view.props(sup)
-            type_q = view.single(sup, RDF_TYPE)
             if OWL_COMPLEMENTOF in props:
                 comp = props[OWL_COMPLEMENTOF][0]
                 axioms.add(axiom(SUB_CLASS_NEG, sub, comp.o))
                 view.consume(q, comp)
                 continue
-            if OWL_HASVALUE in props:
-                on_prop = _decode_restriction(view, sup, err)
-                value = props[OWL_HASVALUE][0]
-                axioms.add(axiom(SUB_HAS_VALUE, sub, on_prop.o, value.o))
-                view.consume(q, on_prop, value, *(props.get(RDF_TYPE, ())))
-                continue
-            if OWL_ALLVALUESFROM in props:
-                on_prop = _decode_restriction(view, sup, err)
-                filler = props[OWL_ALLVALUESFROM][0]
-                axioms.add(axiom(SUP_ALL, sub, on_prop.o, filler.o))
-                view.consume(q, on_prop, filler, *(props.get(RDF_TYPE, ())))
-                continue
-            if OWL_MAXQUALIFIEDCARDINALITY in props:
-                on_prop = _decode_restriction(view, sup, err)
-                card = props[OWL_MAXQUALIFIEDCARDINALITY][0]
-                on_class = props.get(OWL_ONCLASS)
-                if card.o.kind != "literal" or card.o.lexical != "1":
-                    raise err(
-                        f"unsupported cardinality {card.o.lexical!r} (only 1)", sup
-                    )
-                if not on_class:
-                    raise err("qualified cardinality is missing owl:onClass", sup)
-                axioms.add(axiom(SUP_MAX1, sub, on_prop.o, on_class[0].o))
-                view.consume(q, on_prop, card, on_class[0], *(props.get(RDF_TYPE, ())))
-                continue
-            warn(f"unsupported superclass expression at {sup!r}")
+            for pred, shape in (
+                (OWL_HASVALUE, SUB_HAS_VALUE),
+                (OWL_ALLVALUESFROM, SUP_ALL),
+                (OWL_MAXQUALIFIEDCARDINALITY, SUP_MAX1),
+            ):
+                if pred in props:
+                    axioms.add(_decode_restriction(view, q, sup, props, shape, err))
+                    break
+            else:
+                warn(f"unsupported superclass expression at {sup!r}")
             continue
         if _is_aux(sub):
             props = view.props(sub)
@@ -445,10 +386,7 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
                 view.consume(q, list_q, *spent)
                 continue
             if OWL_SOMEVALUESFROM in props:
-                on_prop = _decode_restriction(view, sub, err)
-                filler = props[OWL_SOMEVALUESFROM][0]
-                axioms.add(axiom(SUB_EX, on_prop.o, filler.o, sup))
-                view.consume(q, on_prop, filler, *(props.get(RDF_TYPE, ())))
+                axioms.add(_decode_restriction(view, q, sub, props, SUB_EX, err))
                 continue
         warn(f"unsupported class inclusion {sub!r} -> {sup!r}")
 
@@ -467,6 +405,40 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
                 warn(f"unsupported property inclusion at {sub!r}")
         else:
             warn(f"unsupported property inclusion {sub!r} -> {sup!r}")
+
+
+def _decode_restriction(view, link_q, node, props, shape, err) -> Axiom:
+    """The restriction ``shape`` at ``node``, which ``link_q`` links to a
+    class: owl:onProperty exactly once, each other component the first of
+    its triples, every rdf:type triple of the node consumed."""
+    (s, _, o), *components = RDF_FORMS[shape, False]
+    at = {s: link_q.s, o: link_q.o}
+    spent = [link_q, *props.get(RDF_TYPE, ())]
+    for _, pred, value in components:
+        if pred == RDF_TYPE:
+            continue
+        if pred == OWL_ONPROPERTY:
+            found = view.single(node, pred)
+            if found is None:
+                raise err("restriction is missing owl:onProperty", node)
+        elif pred in props:
+            found = props[pred][0]
+        else:  # the caller saw the form's own predicate: this is owl:onClass
+            raise err("qualified cardinality is missing owl:onClass", node)
+        if isinstance(value, int):
+            at[value] = found.o
+        elif found.o.kind != "literal" or found.o.lexical != value.lexical:
+            raise err(
+                f"unsupported cardinality {found.o.lexical!r} (only {value.lexical})", node
+            )
+        spent.append(found)
+    view.consume(*spent)
+    return _build(shape, at)
+
+
+def _build(shape: str, at: dict) -> Axiom:
+    """The axiom of ``shape`` whose argument i is ``at[i]``."""
+    return axiom(shape, *(at[i] for i in range(len(SHAPE_SORTS[shape]))))
 
 
 def _decode_eval(view, link_q, node, props, shape, err) -> Axiom:
@@ -489,15 +461,10 @@ def _decode_eval(view, link_q, node, props, shape, err) -> Axiom:
 
 
 def _decode_role_axioms(view, axioms, warn) -> None:
-    simple = (
-        (OWL_INVERSEOF, INV_ROLE),
-        (OWL_PROPERTYDISJOINTWITH, DIS_ROLE),
-        (OWL_SAMEAS, SAME),
-        (OWL_DIFFERENTFROM, DIFFERENT),
-    )
-    for pred, shape in simple:
+    for shape in (INV_ROLE, DIS_ROLE, SAME, DIFFERENT):
+        ((s, pred, o),) = RDF_FORMS[shape, False]
         for q in view.by_p.get(pred, ()):
-            axioms.add(axiom(shape, q.s, q.o))
+            axioms.add(_build(shape, {s: q.s, o: q.o}))
             view.consume(q)
     for q in view.by_p.get(OWL_PROPERTYCHAINAXIOM, ()):
         decoded = view.rdf_list(q.o)

@@ -377,13 +377,24 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+def decode_utf8(data: bytes) -> str:
+    """The text of UTF-8 bytes, or a ParseError at the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"invalid UTF-8 ({exc.reason})",
+            data.count(b"\n", 0, exc.start) + 1,
+            len(data[line_start : exc.start].decode("utf-8")) + 1,
+        ) from None
+
+
 def _as_text(source: str | bytes | IO) -> str:
     if isinstance(source, str):
         return source
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    data = source if isinstance(source, bytes) else source.read()
+    return decode_utf8(data) if isinstance(data, bytes) else data
 
 
 def load_dataset(source: str | bytes | IO, format: str = "trig") -> Dataset:

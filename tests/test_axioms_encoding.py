@@ -1,4 +1,6 @@
 """Normal-form axioms and their RDF encoding (parse/encode inverses)."""
+import hashlib
+
 import pytest
 
 from ckrbench.errors import EncodingError
@@ -95,6 +97,56 @@ def test_round_trip_all_shapes_in_one_graph_through_text():
     encode_axioms(d, G, ALL_SHAPE_SAMPLES, BlankMinter())
     reloaded = load_dataset(write_dataset(d))
     assert parse_axioms(reloaded, G) == set(ALL_SHAPE_SAMPLES)
+
+
+@pytest.mark.parametrize(
+    "mint, digest",
+    [
+        (BlankMinter(), "8b2990b25f225aed05b90e8acc0b33f15bc30aa7dd9e7d6574112b9c39247aee"),
+        (
+            skolem_minter("probe"),
+            "6eccacfcf28f79deda1490eb84c2b55a7cd5678e2573b506e09f7c3dd1795c83",
+        ),
+    ],
+    ids=["blank", "skolem"],
+)
+def test_encoded_bytes_are_pinned(mint, digest):
+    # The round trips cannot see a swap in the order auxiliary nodes are
+    # minted; blank labels and skolem IRIs in the written bytes can.
+    d = Dataset()
+    encode_axioms(d, G, ALL_SHAPE_SAMPLES, mint)
+    assert hashlib.sha256(write_dataset(d)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        (
+            "[ owl:onProperty :R0 ; owl:someValuesFrom :A0 ] rdfs:subClassOf :A1 .",
+            axiom(ax.SUB_EX, R0, A0, A1),
+        ),
+        (
+            "[ a owl:Restriction , owl:Class ; owl:onProperty :R0 ; "
+            "owl:someValuesFrom :A0 ] rdfs:subClassOf :A1 .",
+            axiom(ax.SUB_EX, R0, A0, A1),
+        ),
+        (
+            ":A0 rdfs:subClassOf [ a owl:Restriction ; owl:onProperty :R0 ; "
+            "owl:maxQualifiedCardinality 1 ; owl:onClass :A1 ] .",
+            axiom(ax.SUP_MAX1, A0, R0, A1),
+        ),
+        (
+            ":n0 a owl:NegativePropertyAssertion ; owl:sourceIndividual :a0 ; "
+            "owl:assertionProperty :R0 ; owl:targetIndividual :a1 .",
+            axiom(ax.NEG_ROLE_ASSERT, R0, a0, a1),
+        ),
+    ],
+    ids=["untyped-restriction", "restriction-and-class", "integer-cardinality", "named-npa"],
+)
+def test_hand_authored_readings(body, expected):
+    warnings: list[str] = []
+    assert parse_axioms(trig(f":m0 {{ {body} }}"), G, warnings) == {expected}
+    assert warnings == []
 
 
 def test_skolem_encoding_round_trips():

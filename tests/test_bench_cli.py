@@ -290,8 +290,50 @@ def test_cli_bench_parallel_is_a_usage_error(ts2_dir, tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_default_regime_env(monkeypatch, ts2_file):
+def test_cli_default_regime_ignores_the_environment(monkeypatch, ts2_file):
     monkeypatch.setenv("CKR_DEFAULT_REGIME", "ckr-owl-global")
-    assert main(["check", str(ts2_file), ":c0", ":x1_0", "a", ":D1"]) == 1
-    monkeypatch.setenv("CKR_DEFAULT_REGIME", "ckr-owl-local")
     assert main(["check", str(ts2_file), ":c0", ":x1_0", "a", ":D1"]) == 0
+
+
+def test_cli_check_malformed_context_is_usage_error(ts2_file, caplog):
+    assert main(["check", str(ts2_file), "bad ctx", ":a", "a", ":B"]) == 2
+    assert "not a valid absolute IRI" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_classes=10\nn_clases=10\n", "unknown parameter 'n_clases'"),
+        ("", "missing parameters: n_classes"),
+        ("n_classes=ten\n", "n_classes is not an integer: 'ten'"),
+        ("n_classes=-3\n", "n_classes must be non-negative"),
+    ],
+    ids=["unknown-key", "missing-key", "not-an-integer", "negative"],
+)
+def test_cli_generate_malformed_params_is_usage_error(tmp_path, caplog, line, message):
+    params = GenParams(2, 10, 10, 20, 10, 5, 20, 10, 5, 20).to_text()
+    params_file = tmp_path / "conf.params"
+    params_file.write_text(params.replace("n_classes=10\n", line))
+    out = tmp_path / "out.trig"
+    assert main(["generate", str(params_file), "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
+def test_cli_non_utf8_input_is_a_parse_error(tmp_path, caplog):
+    path = tmp_path / "latin1.trig"
+    path.write_bytes(PREAMBLE.encode() + ":m0 { :a :p :caf\xe9 . }\n".encode("latin-1"))
+    assert main(["closure", str(path)]) == 2
+    line = PREAMBLE.count("\n") + 1
+    assert f"invalid UTF-8 (invalid continuation byte) (line {line}, column 17)" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--regimes", "nope"], ["--regimes", ","], ["--runs", "0"]],
+    ids=["unknown-regime", "no-regime", "no-runs"],
+)
+def test_cli_bench_bad_options_are_usage_errors(ts2_dir, tmp_path, options):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(ts2_dir), "--csv", str(out), *options]) == 2
+    assert not out.exists()

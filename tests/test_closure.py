@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from ckrbench.engine.closure import check_entailment, compute_closure
+from ckrbench import calculus as cal
+from ckrbench.engine.closure import _fact_triples, check_entailment, compute_closure
 from ckrbench.engine.rules import REGIME_IDS, instantiate_ruleset
 from ckrbench.errors import AssemblyError, InstanceQueryError, UnknownContextError
 from ckrbench.generator import (
@@ -17,6 +18,7 @@ from ckrbench.generator import (
 )
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
+from ckrbench.model.encoding import encode_axiom, skolem_minter
 from ckrbench.model.repository import assemble_repository
 from ckrbench.namespaces import (
     CTX_CLASS,
@@ -344,6 +346,22 @@ def test_quad_level_counts_are_consistent():
     closed = result.closed_dataset()
     assert len(closed) == result.asserted_quad_count + result.inferred_quad_count
     assert len(result.facts) == result.asserted_fact_count + result.inferred_fact_count
+
+
+@pytest.mark.parametrize(
+    "fact",
+    [
+        (cal.INST, gen("a0"), gen("A0"), gen("c0")),
+        (cal.TRIPLE, gen("a0"), gen("R0"), gen("a1"), gen("c0")),
+        (cal.EQ, gen("a0"), gen("a1"), GLOBAL_GRAPH),
+    ],
+    ids=lambda f: f[0],
+)
+def test_fact_fast_paths_match_the_encoder(fact):
+    # materialize writes these relations without the encoder; they must stay
+    # the triples that encode_axiom gives their axioms
+    expected = encode_axiom(cal.fact_to_axiom(fact), skolem_minter("unused"))
+    assert _fact_triples(fact) == expected
 
 
 def test_fact_view_match():
