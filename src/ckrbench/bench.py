@@ -65,6 +65,8 @@ def bench_file(
     timeout_millis: int = DEFAULT_BUDGET_MILLIS,
 ) -> list[BenchRecord]:
     """All (regime, run) records for one suite file, plus averaged rows."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     suite, config, seed = describe_file(path)
     repo = assemble_repository(load_path(str(path)))
     for warning in repo.warnings:

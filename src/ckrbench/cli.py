@@ -23,7 +23,7 @@ from ckrbench import __version__
 from ckrbench.bench import bench_suite, connection_sweep_fit, write_csv
 from ckrbench.engine.closure import DEFAULT_BUDGET_MILLIS, check_entailment, compute_closure
 from ckrbench.engine.rules import REGIME_IDS, instantiate_ruleset
-from ckrbench.errors import CkrError, UsageError
+from ckrbench.errors import BudgetExceeded, CkrError, UsageError
 from ckrbench.generator import (
     DESK_SWEEP,
     FULL_SWEEP,
@@ -244,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except BudgetExceeded as exc:
+        logger.error("%s", exc)
+        return EXIT_TIMEOUT
     except CkrError as exc:
         logger.error("%s", exc)
         return EXIT_ERROR

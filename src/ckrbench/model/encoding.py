@@ -304,7 +304,8 @@ def parse_axioms(
 ) -> set[Axiom]:
     """Decode one named graph into its normal-form axioms."""
     view = _GraphView(dataset, graph)
-    axioms: set[Axiom] = set()
+    # an insertion-ordered set: the warnings below come in decode order
+    axioms: dict[Axiom, None] = {}
     warn = warnings.append if warnings is not None else (lambda _msg: None)
 
     def err(msg: str, node: Term) -> EncodingError:
@@ -316,8 +317,8 @@ def parse_axioms(
     _decode_assertions(view, axioms, warn)
     for a in [a for a in axioms if _names_vocabulary(a)]:
         warn(f"reserved vocabulary as a class or role name in {a!r}; axiom dropped")
-        axioms.remove(a)
-    return axioms
+        del axioms[a]
+    return set(axioms)
 
 
 def _names_vocabulary(a: Axiom) -> bool:
@@ -337,7 +338,7 @@ def _decode_negative_assertions(view: _GraphView, axioms, err) -> None:
         tgt = view.single(q.s, OWL_TARGETINDIVIDUAL)
         if src is None or prop is None or tgt is None:
             raise err("negative property assertion is missing a component", q.s)
-        axioms.add(axiom(NEG_ROLE_ASSERT, prop.o, src.o, tgt.o))
+        axioms[axiom(NEG_ROLE_ASSERT, prop.o, src.o, tgt.o)] = None
         view.consume(q, src, prop, tgt)
 
 
@@ -347,14 +348,14 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
             continue
         sub, sup = q.s, q.o
         if _atomic(sub) and _atomic(sup):
-            axioms.add(axiom(SUB_CLASS, sub, sup))
+            axioms[axiom(SUB_CLASS, sub, sup)] = None
             view.consume(q)
             continue
         if _is_aux(sup) and _atomic(sub):
             props = view.props(sup)
             if OWL_COMPLEMENTOF in props:
                 comp = props[OWL_COMPLEMENTOF][0]
-                axioms.add(axiom(SUB_CLASS_NEG, sub, comp.o))
+                axioms[axiom(SUB_CLASS_NEG, sub, comp.o)] = None
                 view.consume(q, comp)
                 continue
             for pred, shape in (
@@ -363,7 +364,7 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
                 (OWL_MAXQUALIFIEDCARDINALITY, SUP_MAX1),
             ):
                 if pred in props:
-                    axioms.add(_decode_restriction(view, q, sup, props, shape, err))
+                    axioms[_decode_restriction(view, q, sup, props, shape, err)] = None
                     break
             else:
                 warn(f"unsupported superclass expression at {sup!r}")
@@ -371,7 +372,7 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
         if _is_aux(sub):
             props = view.props(sub)
             if EVAL_OF in props or EVAL_IN in props:
-                axioms.add(_decode_eval(view, q, sub, props, EVAL_SUB_CLASS, err))
+                axioms[_decode_eval(view, q, sub, props, EVAL_SUB_CLASS, err)] = None
                 continue
             if OWL_INTERSECTIONOF in props:
                 list_q = props[OWL_INTERSECTIONOF][0]
@@ -382,11 +383,11 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
                 if len(items) != 2 or not all(_atomic(t) for t in items):
                     warn(f"intersection at {sub!r} is not a binary normal form")
                     continue
-                axioms.add(axiom(SUB_CONJ, items[0], items[1], sup))
+                axioms[axiom(SUB_CONJ, items[0], items[1], sup)] = None
                 view.consume(q, list_q, *spent)
                 continue
             if OWL_SOMEVALUESFROM in props:
-                axioms.add(_decode_restriction(view, q, sub, props, SUB_EX, err))
+                axioms[_decode_restriction(view, q, sub, props, SUB_EX, err)] = None
                 continue
         warn(f"unsupported class inclusion {sub!r} -> {sup!r}")
 
@@ -395,12 +396,12 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
             continue
         sub, sup = q.s, q.o
         if _atomic(sub) and _atomic(sup):
-            axioms.add(axiom(SUB_ROLE, sub, sup))
+            axioms[axiom(SUB_ROLE, sub, sup)] = None
             view.consume(q)
         elif _is_aux(sub):
             props = view.props(sub)
             if EVAL_OF in props or EVAL_IN in props:
-                axioms.add(_decode_eval(view, q, sub, props, EVAL_SUB_ROLE, err))
+                axioms[_decode_eval(view, q, sub, props, EVAL_SUB_ROLE, err)] = None
             else:
                 warn(f"unsupported property inclusion at {sub!r}")
         else:
@@ -464,7 +465,7 @@ def _decode_role_axioms(view, axioms, warn) -> None:
     for shape in (INV_ROLE, DIS_ROLE, SAME, DIFFERENT):
         ((s, pred, o),) = RDF_FORMS[shape, False]
         for q in view.by_p.get(pred, ()):
-            axioms.add(_build(shape, {s: q.s, o: q.o}))
+            axioms[_build(shape, {s: q.s, o: q.o})] = None
             view.consume(q)
     for q in view.by_p.get(OWL_PROPERTYCHAINAXIOM, ()):
         decoded = view.rdf_list(q.o)
@@ -475,7 +476,7 @@ def _decode_role_axioms(view, axioms, warn) -> None:
         if len(items) != 2:
             warn(f"property chain at {q.s!r} is not a binary normal form")
             continue
-        axioms.add(axiom(ROLE_CHAIN, items[0], items[1], q.s))
+        axioms[axiom(ROLE_CHAIN, items[0], items[1], q.s)] = None
         view.consume(q, *spent)
 
 
@@ -485,9 +486,9 @@ def _decode_assertions(view, axioms, warn) -> None:
             continue
         if q.p == RDF_TYPE:
             if q.o == OWL_IRREFLEXIVEPROPERTY:
-                axioms.add(axiom(IRR_ROLE, q.s))
+                axioms[axiom(IRR_ROLE, q.s)] = None
             elif q.o.kind == "iri" and not q.o.lexical.startswith(_RESERVED):
-                axioms.add(axiom(CONCEPT_ASSERT, q.o, q.s))
+                axioms[axiom(CONCEPT_ASSERT, q.o, q.s)] = None
             elif q.o == OWL_RESTRICTION:
                 warn(f"dangling restriction node {q.s!r}")
             else:
@@ -507,4 +508,4 @@ def _decode_assertions(view, axioms, warn) -> None:
         if q.o.kind == "literal":
             # data values are carried through, not reasoned about
             continue
-        axioms.add(axiom(ROLE_ASSERT, q.p, q.s, q.o))
+        axioms[axiom(ROLE_ASSERT, q.p, q.s, q.o)] = None

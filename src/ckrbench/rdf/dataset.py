@@ -2,18 +2,18 @@
 
 Set semantics throughout: a dataset never holds duplicate quads and
 ``add_quads`` reports only genuinely new insertions.  The one index is quads
-by graph: assembly and the writer read whole graphs, and the closure engine
-joins over its own integer store.  ``match`` without a graph scans a snapshot
-of the quad set.
+by graph, after RDF 1.1's dataset as a set of named graphs: each graph is an
+insertion-ordered set (a dict whose values are unused), and declared empty
+graphs are kept.  Assembly and the writer read whole graphs, and the closure
+engine joins over its own integer store.
 
-Concurrency contract: reads may proceed concurrently; writes take the store
-lock (single writer).  Whole-set reads (iteration, ``match`` without a graph,
-``copy``) work on a snapshot taken under the lock.  The closure engine never
-writes to its input.
+Orders: ``graph(g)`` gives quads in first-insertion order, iteration goes
+graph by graph in the order graphs first appeared, and ``match`` and
+``graph_names`` are sorted.  The closure engine never writes to its input.
 """
 from __future__ import annotations
 
-import threading
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from ckrbench.rdf.terms import Term
@@ -34,10 +34,8 @@ def is_valid_quad(q: Quad) -> bool:
 
 class Dataset:
     def __init__(self, quads: Iterable[Quad] = ()) -> None:
-        self._quads: set[Quad] = set()
         # every graph, declared empty ones included, with its quads
-        self._by_g: dict[Term, list[Quad]] = {}
-        self._lock = threading.Lock()
+        self._graphs: dict[Term, dict[Quad, None]] = {}
         if quads:
             self.add_quads(quads)
 
@@ -49,50 +47,47 @@ class Dataset:
 
     def add_quads(self, qs: Iterable[Quad]) -> int:
         """Insert quads, returning the number of genuinely new ones."""
+        graphs = self._graphs
         added = 0
-        with self._lock:
-            for q in qs:
-                if q in self._quads:
-                    continue
-                if not is_valid_quad(q):
-                    raise ValueError(f"a dataset cannot hold {q!r}")
-                self._quads.add(q)
-                self._by_g.setdefault(q.g, []).append(q)
-                added += 1
+        for q in qs:
+            quads = graphs.get(q.g)
+            if quads is not None and q in quads:
+                continue
+            if not is_valid_quad(q):
+                raise ValueError(f"a dataset cannot hold {q!r}")
+            if quads is None:
+                quads = graphs[q.g] = {}
+            quads[q] = None
+            added += 1
         return added
 
     def declare_graph(self, g: Term) -> None:
         """Record that a (possibly empty) named graph exists."""
-        with self._lock:
-            self._by_g.setdefault(g, [])
+        self._graphs.setdefault(g, {})
 
     # -- read side --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._quads)
+        return sum(map(len, self._graphs.values()))
 
     def __contains__(self, q: Quad) -> bool:
-        return q in self._quads
+        return q in self._graphs.get(q.g, ())
 
     def __iter__(self) -> Iterator[Quad]:
-        return iter(self._snapshot())
-
-    def _snapshot(self) -> list[Quad]:
-        with self._lock:
-            return list(self._quads)
+        return chain.from_iterable(self._graphs.values())
 
     def graph_names(self) -> list[Term]:
-        return sorted(self._by_g)
+        return sorted(self._graphs)
 
     def has_graph(self, g: Term) -> bool:
-        return g in self._by_g
+        return g in self._graphs
 
     def graph(self, g: Term) -> list[Quad]:
-        """All quads of one named graph (unordered)."""
-        return list(self._by_g.get(g, ()))
+        """All quads of one named graph, in first-insertion order."""
+        return list(self._graphs.get(g, ()))
 
     def graph_size(self, g: Term) -> int:
-        return len(self._by_g.get(g, ()))
+        return len(self._graphs.get(g, ()))
 
     def match(
         self,
@@ -102,7 +97,7 @@ class Dataset:
         g: Term | None = None,
     ) -> list[Quad]:
         """Quads unifying with the pattern, in ``Term`` order of (s, p, o, g)."""
-        candidates = self._by_g.get(g, ()) if g is not None else self._snapshot()
+        candidates = self._graphs.get(g, ()) if g is not None else self
         out = [
             q
             for q in candidates
@@ -116,15 +111,13 @@ class Dataset:
     def copy(self) -> "Dataset":
         """An independent copy of the validated state, not re-inserted."""
         d = Dataset()
-        with self._lock:
-            d._quads = set(self._quads)
-            d._by_g = {g: list(qs) for g, qs in self._by_g.items()}
+        d._graphs = {g: quads.copy() for g, quads in self._graphs.items()}
         return d
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._quads == other._quads
+        return len(self) == len(other) and all(q in other for q in self)
 
     def __hash__(self) -> int:  # pragma: no cover - datasets are not hashed
         raise TypeError("Dataset is unhashable")

@@ -16,7 +16,7 @@ from ckrbench.model.encoding import (
 from ckrbench.namespaces import OWL_IRREFLEXIVEPROPERTY, RDF_TYPE
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.trig import load_dataset, write_dataset
-from util import gen, trig
+from util import PREAMBLE, gen, run_python, trig
 
 A0, A1, A2 = gen("A0"), gen("A1"), gen("A2")
 R0, R1 = gen("R0"), gen("R1")
@@ -196,6 +196,34 @@ def test_unrecognized_reserved_triple_warns():
     warnings: list[str] = []
     assert parse_axioms(d, G, warnings) == set()
     assert any("rdfs" in w or "unrecognized" in w for w in warnings)
+
+
+def test_reserved_name_warnings_come_in_decode_order():
+    # Four axioms that name reserved vocabulary, and a decoder warning that
+    # precedes theirs; each fresh process must log the same list.
+    text = PREAMBLE + """:m0 {
+      :S owl:inverseOf rdf:value .
+      :R rdfs:subPropertyOf owl:topObjectProperty .
+      :B rdfs:subClassOf owl:Thing .
+      :A rdfs:subClassOf rdfs:Resource .
+      :R2 owl:propertyChainAxiom ( :R0 :R1 :R0 ) .
+    }"""
+    script = (
+        "from ckrbench.model.encoding import parse_axioms\n"
+        "from ckrbench.rdf.terms import iri\n"
+        "from ckrbench.rdf.trig import load_dataset\n"
+        "warnings = []\n"
+        f"parse_axioms(load_dataset({text!r}), iri({G.lexical!r}), warnings)\n"
+        "print('\\n'.join(warnings))\n"
+    )
+    runs = [run_python(script).splitlines() for _ in range(3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert "property chain" in runs[0][0]
+    reserved = [w for w in runs[0] if w.startswith("reserved vocabulary")]
+    assert runs[0][-4:] == reserved
+    expected = [("SubClass", "A"), ("SubClass", "B"), ("SubRole", "R"), ("InvRole", "S")]
+    for warning, (shape, name) in zip(reserved, expected):
+        assert f" in {shape}({gen(name)!r}, " in warning
 
 
 def test_long_property_chain_warns_and_is_inert():

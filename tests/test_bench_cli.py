@@ -52,6 +52,12 @@ def test_bench_file_rows_and_average(ts2_dir):
     assert len({(r.asserted, r.inferred) for r in runs}) == 1
 
 
+def test_bench_file_rejects_fewer_than_one_run(tmp_path):
+    # the file does not exist: the value is checked before anything is read
+    with pytest.raises(ValueError, match="got 0"):
+        bench_file(tmp_path / "never-read.trig", ["ckr-owl-local"], runs=0)
+
+
 def test_bench_file_assembles_the_repository_once(ts2_dir, monkeypatch):
     import ckrbench.bench
 
@@ -165,6 +171,13 @@ def test_cli_closure_timeout_exit_code(tmp_path, capsys):
     assert code == 3
     assert json.loads(capsys.readouterr().out)["timedOut"] is True
     assert not out.exists()
+
+
+def test_cli_check_timeout_exit_code(tmp_path):
+    path = tmp_path / "big.trig"
+    write_path(build_ts2(20, 19, 10), str(path))
+    args = ["check", str(path), ":c0", ":x1_0", "a", ":D1", "--timeout-ms", "1"]
+    assert main(args) == 3
 
 
 def test_cli_closure_parse_failure(tmp_path):

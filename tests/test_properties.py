@@ -1,6 +1,8 @@
 """Cross-cutting properties: monotonicity, concurrency, scale spot checks."""
+import ast
 import random
 import threading
+from pathlib import Path
 
 from ckrbench.engine.closure import compute_closure
 from ckrbench.engine.rules import instantiate_ruleset
@@ -64,3 +66,19 @@ def test_match_at_scale_against_linear_scan():
             )
         )
         assert d.match(**pattern) == expected
+
+
+def test_no_module_starts_threads_or_processes():
+    # the store and the engine are single-threaded by design
+    banned = {"threading", "multiprocessing", "concurrent", "asyncio"}
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned, f"{path.name} imports {name}"

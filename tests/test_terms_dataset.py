@@ -1,7 +1,5 @@
 """Terms, quads and the named-graph store."""
 import random
-import sys
-import threading
 
 import pytest
 
@@ -9,7 +7,7 @@ from ckrbench.namespaces import XSD_INTEGER, XSD_STRING
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import TermTable, blank, iri, literal
 from ckrbench.rdf.trig import load_dataset
-from util import gen, random_dataset
+from util import gen, random_dataset, run_python
 
 
 def test_term_equality_and_interning():
@@ -174,44 +172,40 @@ def test_copy_is_independent_and_keeps_declared_graphs():
     assert not copy.has_graph(gen("later"))
 
 
-def test_single_writer_many_readers():
+def test_graph_keeps_first_insertion_order():
     d = Dataset()
-    writes = 20_000
-    errors: list[Exception] = []
-    done = threading.Event()
+    quads = [q(f"s{i}", "p", "o") for i in (3, 1, 2)]
+    d.add_quads([quads[0], quads[1], quads[0], quads[2], quads[1]])
+    assert d.graph(gen("gq")) == quads
+    assert d.copy().graph(gen("gq")) == quads
 
-    def write():
-        try:
-            for i in range(writes):
-                d.add(q("s", "p", f"o{i}"))
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-        finally:
-            done.set()
 
-    def read():
-        # Patterns without a graph walk the whole quad set while the writer
-        # grows it.
-        try:
-            while not done.is_set():
-                d.match(s=gen("s"))
-                d.match(o=gen("o0"))
-                d.match()
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
+def test_equality_ignores_declared_empty_graphs():
+    d, e = Dataset([q("s", "p", "o")]), Dataset([q("s", "p", "o")])
+    d.declare_graph(gen("empty"))
+    assert d == e and e == d
+    assert d != Dataset()
 
-    threads = [threading.Thread(target=write)] + [
-        threading.Thread(target=read) for _ in range(3)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert len(d) == writes
+
+def test_contains_is_false_for_a_missing_graph():
+    d = Dataset([q("s", "p", "o", "g1")])
+    assert q("s", "p", "o", "g1") in d
+    assert q("s", "p", "o", "g2") not in d
+
+
+# graphs interleaved and out of term order, a literal object in each
+_ORDER_SCRIPT = """
+from ckrbench.rdf.dataset import Dataset, Quad
+from ckrbench.rdf.terms import iri, literal
+n = lambda x: iri("http://x.test/" + x)
+d = Dataset()
+for s, g in [("s2", "g2"), ("s1", "g1"), ("s0", "g2"), ("s3", "g1"), ("s2", "g2")]:
+    d.add(Quad(n(s), n("p"), literal(s), n(g)))
+print(" ".join(q.s.lexical[-2:] + q.g.lexical[-2:] for q in d))
+"""
+
+
+def test_iteration_is_graph_by_graph_in_insertion_order():
+    runs = [run_python(_ORDER_SCRIPT) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0] == "s2g2 s0g2 s1g1 s3g1\n"

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from ckrbench.generator import GenParams
 from ckrbench.namespaces import GEN_NS
@@ -22,6 +26,18 @@ PREAMBLE = """\
 @prefix owl: <http://www.w3.org/2002/07/owl#> .
 @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
 """
+
+
+def run_python(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
 
 
 def trig(body: str) -> Dataset:
