@@ -167,7 +167,8 @@ _K_PATTERN = re.compile(r"-k(\d+)$")
 
 def connection_sweep_fit(records: Sequence[BenchRecord]) -> dict[str, tuple[float, float, float]]:
     """Per (suite, regime) fit of averaged time against the connection count
-    encoded in the configuration label (``...-k<n>``)."""
+    encoded in the configuration label (``...-k<n>``); a series of fewer
+    than three points or two distinct counts has no fit."""
     series: dict[str, list[tuple[int, float]]] = {}
     for r in records:
         if r.run != "avg" or r.timedout:
@@ -178,7 +179,7 @@ def connection_sweep_fit(records: Sequence[BenchRecord]) -> dict[str, tuple[floa
         series.setdefault(f"{r.suite}/{r.regime}", []).append((int(m.group(1)), r.ms))
     out = {}
     for key, points in series.items():
-        if len(points) >= 3:
+        if len(points) >= 3 and len({k for k, _ in points}) >= 2:
             points.sort()
             xs = [float(k) for k, _ in points]
             ys = [ms for _, ms in points]

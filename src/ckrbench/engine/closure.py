@@ -188,10 +188,10 @@ def compute_closure(
 
         if regime.local_rules is not None:
             with _stage(stage_ms, "local"):
-                not_iri = sorted(c for c in contexts if c.kind != "iri")
+                not_iri = [c for c in contexts if c.kind != "iri"]
                 if not_iri:
                     raise AssemblyError(
-                        f"context {not_iri[0]!r} is not an IRI, so it cannot "
+                        f"context {min(not_iri)!r} is not an IRI, so it cannot "
                         "name an inference graph"
                     )
                 propagated = repo.global_object_axioms()
@@ -337,8 +337,14 @@ def _fact_triples(f: Fact) -> list[tuple[Term, Term, Term]]:
         return [(f[1], OWL_SAMEAS, f[2])]
     if rel == cal.UNSAT:
         return [(f[1], RDF_TYPE, INCONSISTENT_CLASS)]
-    mint = skolem_minter(rel, *(t.lexical for t in f[1:]))
+    mint = skolem_minter(rel, *map(_skolem_part, f[1:]))
     return encode_axiom(cal.fact_to_axiom(f), mint)
+
+
+def _skolem_part(t: Term) -> str:
+    """A term as a skolem key part: a literal keeps its datatype, so it
+    collides neither with a literal of another datatype nor with an IRI."""
+    return f'"{t.lexical}"^^{t.datatype}' if t.kind == "literal" else t.lexical
 
 
 def check_entailment(

@@ -12,6 +12,12 @@ blank nodes when authoring modules and deterministic skolem IRIs when the
 closure engine writes inference graphs, so inference output re-parses
 without drift.
 
+The reader takes each graph in insertion order and sorts nothing.  Where a
+form's component occurs more than once at a node, the least in ``Term``
+order is read, so a graph reads the same whatever order its quads were
+inserted in, and a closed dataset reads the same in memory and reloaded.
+The forms the engine writes repeat no component.
+
 Unrecognized triples are carried through untouched: anything that looks like
 a plain assertion becomes one, dangling uses of reserved vocabulary are
 reported through the ``warnings`` list, and the rest stays inert in the
@@ -253,7 +259,7 @@ class _GraphView:
     """Per-graph quad access with consumption tracking."""
 
     def __init__(self, dataset: Dataset, graph: Term) -> None:
-        self.quads = sorted(dataset.graph(graph))
+        self.quads = dataset.graph(graph)
         self.by_s: dict[Term, list[Quad]] = {}
         self.by_p: dict[Term, list[Quad]] = {}
         for q in self.quads:
@@ -354,7 +360,7 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
         if _is_aux(sup) and _atomic(sub):
             props = view.props(sup)
             if OWL_COMPLEMENTOF in props:
-                comp = props[OWL_COMPLEMENTOF][0]
+                comp = min(props[OWL_COMPLEMENTOF])
                 axioms[axiom(SUB_CLASS_NEG, sub, comp.o)] = None
                 view.consume(q, comp)
                 continue
@@ -375,7 +381,7 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
                 axioms[_decode_eval(view, q, sub, props, EVAL_SUB_CLASS, err)] = None
                 continue
             if OWL_INTERSECTIONOF in props:
-                list_q = props[OWL_INTERSECTIONOF][0]
+                list_q = min(props[OWL_INTERSECTIONOF])
                 decoded = view.rdf_list(list_q.o)
                 if decoded is None:
                     raise err("broken owl:intersectionOf list", sub)
@@ -410,7 +416,7 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
 
 def _decode_restriction(view, link_q, node, props, shape, err) -> Axiom:
     """The restriction ``shape`` at ``node``, which ``link_q`` links to a
-    class: owl:onProperty exactly once, each other component the first of
+    class: owl:onProperty exactly once, each other component the least of
     its triples, every rdf:type triple of the node consumed."""
     (s, _, o), *components = RDF_FORMS[shape, False]
     at = {s: link_q.s, o: link_q.o}
@@ -423,7 +429,7 @@ def _decode_restriction(view, link_q, node, props, shape, err) -> Axiom:
             if found is None:
                 raise err("restriction is missing owl:onProperty", node)
         elif pred in props:
-            found = props[pred][0]
+            found = min(props[pred])
         else:  # the caller saw the form's own predicate: this is owl:onClass
             raise err("qualified cardinality is missing owl:onClass", node)
         if isinstance(value, int):
@@ -447,10 +453,11 @@ def _decode_eval(view, link_q, node, props, shape, err) -> Axiom:
     in_ = props.get(EVAL_IN)
     if not of or not in_:
         raise err("eval encoding is missing a component", node)
-    view.consume(link_q, of[0], in_[0])
-    ctx_expr = in_[0].o
+    of, in_ = min(of), min(in_)
+    view.consume(link_q, of, in_)
+    ctx_expr = in_.o
     if _atomic(ctx_expr):
-        return axiom(shape, of[0].o, ctx_expr, link_q.o)
+        return axiom(shape, of.o, ctx_expr, link_q.o)
     one_of = view.single(ctx_expr, OWL_ONEOF)
     if one_of is None:
         raise err("eval context expression is neither a class nor a nominal", node)
@@ -458,7 +465,7 @@ def _decode_eval(view, link_q, node, props, shape, err) -> Axiom:
     if decoded is None or len(decoded[0]) != 1 or not _atomic(decoded[0][0]):
         raise err("eval nominal must enumerate exactly one context", node)
     view.consume(one_of, *decoded[1])
-    return axiom(shape, of[0].o, decoded[0][0], link_q.o, nominal_ctx=True)
+    return axiom(shape, of.o, decoded[0][0], link_q.o, nominal_ctx=True)
 
 
 def _decode_role_axioms(view, axioms, warn) -> None:

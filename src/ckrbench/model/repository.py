@@ -80,8 +80,7 @@ def assemble_repository(dataset: Dataset) -> CkrRepository:
 
     referenced: set[Term] = set()
     for g in global_graphs:
-        for quad in dataset.match(p=MOD_PROPERTY, g=g):
-            target = quad.o
+        for target in (q.o for q in dataset.graph(g) if q.p == MOD_PROPERTY):
             if target.kind != "iri":
                 raise AssemblyError(f"module name must be an IRI: {target!r}")
             if target in global_graphs:

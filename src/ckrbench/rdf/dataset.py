@@ -7,9 +7,10 @@ insertion-ordered set (a dict whose values are unused), and declared empty
 graphs are kept.  Assembly and the writer read whole graphs, and the closure
 engine joins over its own integer store.
 
-Orders: ``graph(g)`` gives quads in first-insertion order, iteration goes
-graph by graph in the order graphs first appeared, and ``match`` and
-``graph_names`` are sorted.  The closure engine never writes to its input.
+Orders: the store keeps no order of its own beyond insertion.  ``graph(g)``
+gives quads in first-insertion order, and iteration and ``graph_names()`` go
+graph by graph in the order graphs first appeared.  The writer alone sorts.
+The closure engine never writes to its input.
 """
 from __future__ import annotations
 
@@ -77,7 +78,8 @@ class Dataset:
         return chain.from_iterable(self._graphs.values())
 
     def graph_names(self) -> list[Term]:
-        return sorted(self._graphs)
+        """Every graph name, in the order graphs first appeared."""
+        return list(self._graphs)
 
     def has_graph(self, g: Term) -> bool:
         return g in self._graphs
@@ -88,25 +90,6 @@ class Dataset:
 
     def graph_size(self, g: Term) -> int:
         return len(self._graphs.get(g, ()))
-
-    def match(
-        self,
-        s: Term | None = None,
-        p: Term | None = None,
-        o: Term | None = None,
-        g: Term | None = None,
-    ) -> list[Quad]:
-        """Quads unifying with the pattern, in ``Term`` order of (s, p, o, g)."""
-        candidates = self._graphs.get(g, ()) if g is not None else self
-        out = [
-            q
-            for q in candidates
-            if (s is None or q.s == s)
-            and (p is None or q.p == p)
-            and (o is None or q.o == o)
-        ]
-        out.sort()
-        return out
 
     def copy(self) -> "Dataset":
         """An independent copy of the validated state, not re-inserted."""

@@ -14,9 +14,10 @@ Triples outside graph blocks land in the reserved default graph (the global
 context name), so a plain Turtle ontology loads as a repository with only
 global knowledge.
 
-The writer is deterministic: fixed prefix header, graphs/subjects/objects in
-``Term`` order, blank labels as they are.  Equal datasets serialize to
-byte-identical documents.
+The writer is deterministic and the one place that orders RDF: fixed prefix
+header, graphs/subjects/objects in ``Term`` order, blank labels as they
+are.  Equal datasets serialize to byte-identical documents, whatever the
+order their quads and graphs were inserted in.
 """
 from __future__ import annotations
 
@@ -495,7 +496,7 @@ class _Writer:
 
     def trig(self) -> str:
         lines = self.header()
-        for g in self.dataset.graph_names():
+        for g in sorted(self.dataset.graph_names()):
             lines.append(f"{self.format_term(g)} {{")
             lines.extend(self.triple_lines(self.dataset.graph(g), "    "))
             lines.append("}")

@@ -296,6 +296,19 @@ def test_cli_bench_end_to_end(ts2_dir, tmp_path, capsys):
     assert len(rows) == 18
 
 
+def test_cli_bench_single_k_sweep_has_no_fit(tmp_path, capsys):
+    # three points, one connection count: no line can be fitted
+    for n in (3, 4, 5):
+        write_path(build_ts2(n, 2, 2), str(tmp_path / f"ts2-n{n}-k2.trig"))
+    out = tmp_path / "bench.csv"
+    code = main(["bench", str(tmp_path), "--regimes", "ckr-owl-local",
+                 "--runs", "1", "--csv", str(out)])
+    assert code == 0
+    assert "fit " not in capsys.readouterr().out
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == 6
+
+
 def test_cli_bench_parallel_is_a_usage_error(ts2_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench", str(ts2_dir), "--csv", str(tmp_path / "b.csv"),

@@ -1,6 +1,7 @@
 """Staged closure: stages, propagation, eval chains, entailment checking."""
 import gc
 import hashlib
+import random
 import time
 
 import pytest
@@ -18,7 +19,7 @@ from ckrbench.generator import (
 )
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
-from ckrbench.model.encoding import encode_axiom, skolem_minter
+from ckrbench.model.encoding import encode_axiom, parse_axioms, skolem_minter
 from ckrbench.model.repository import assemble_repository
 from ckrbench.namespaces import (
     CTX_CLASS,
@@ -26,13 +27,14 @@ from ckrbench.namespaces import (
     INCONSISTENT_CLASS,
     MOD_PROPERTY,
     RDF_TYPE,
+    XSD_INTEGER,
     inference_graph,
     nominal_class,
 )
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import blank, iri, literal
 from ckrbench.rdf.trig import load_dataset, write_dataset
-from util import gen, trig
+from util import gen, random_ckr_params, trig
 
 G = GLOBAL_GRAPH
 OWL_LOCAL = instantiate_ruleset("ckr-owl-local")
@@ -478,3 +480,47 @@ def test_context_that_is_not_an_iri(global_graph, context):
     assert context in result.contexts
     reloaded = load_dataset(write_dataset(result.closed_dataset()))
     assert closure(reloaded, "ckr-owl-global").inferred_quad_count == 0
+
+
+def test_literals_of_other_datatypes_get_their_own_skolem_nodes():
+    # "5" and 5 differ in the datatype only: each axiom needs its own node
+    d = trig(
+        "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . "
+        ':A rdfs:subClassOf [ owl:onProperty :R ; owl:hasValue "5" ] , '
+        "[ owl:onProperty :R ; owl:hasValue 5 ] . } :m0 { }"
+    )
+    reloaded = load_dataset(write_dataset(closure(d).closed_dataset()))
+    warnings: list[str] = []
+    read = parse_axioms(reloaded, inference_graph(gen("c0")), warnings)
+    assert {a for a in read if a.shape == ax.SUB_HAS_VALUE} == {
+        axiom(ax.SUB_HAS_VALUE, gen("A"), gen("R"), literal("5")),
+        axiom(ax.SUB_HAS_VALUE, gen("A"), gen("R"), literal("5", XSD_INTEGER)),
+    }
+    assert warnings == []
+    assert closure(reloaded).inferred_quad_count == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_dataset_reads_the_same_in_memory_and_reloaded(seed):
+    d = generate_ckr(random_ckr_params(random.Random(seed), seed))
+    closed = closure(d).closed_dataset()
+    reloaded = load_dataset(write_dataset(closed))
+    assert set(reloaded.graph_names()) == set(closed.graph_names())
+    for g in closed.graph_names():
+        in_memory: list[str] = []
+        again: list[str] = []
+        assert parse_axioms(closed, g, in_memory) == parse_axioms(reloaded, g, again)
+        assert sorted(in_memory) == sorted(again)
+
+
+def test_repeated_component_recloses_to_zero():
+    # two owl:allValuesFrom values in reverse term order: the closure and
+    # the re-closure of the written output must read the same one
+    d = trig(
+        ONE_MODULE + ":m0 { :A rdfs:subClassOf "
+        "[ owl:onProperty :R ; owl:allValuesFrom :C , :B ] . :x a :A ; :R :y . }"
+    )
+    first = closure(d)
+    assert ("inst", gen("y"), gen("B"), gen("c0")) in first.facts
+    reloaded = load_dataset(write_dataset(first.closed_dataset()))
+    assert closure(reloaded).inferred_quad_count == 0

@@ -11,7 +11,7 @@ from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.encoding import BlankMinter, encode_axioms
 from ckrbench.model.repository import assemble_repository
-from util import gen, random_ckr_params, random_dataset
+from util import gen, random_ckr_params
 
 
 def test_adding_axioms_never_removes_conclusions():
@@ -48,26 +48,6 @@ def test_concurrent_closures_agree():
     assert all(r == results[0] for r in results)
 
 
-def test_match_at_scale_against_linear_scan():
-    d = random_dataset(11, 30_000)
-    quads = list(d)
-    rng = random.Random(12)
-    for _ in range(8):
-        probe = rng.choice(quads)
-        pattern = {
-            name: (getattr(probe, name) if rng.random() < 0.5 else None)
-            for name in ("s", "p", "o", "g")
-        }
-        expected = sorted(
-            (
-                q
-                for q in quads
-                if all(v is None or getattr(q, k) == v for k, v in pattern.items())
-            )
-        )
-        assert d.match(**pattern) == expected
-
-
 def test_no_module_starts_threads_or_processes():
     # the store and the engine are single-threaded by design
     banned = {"threading", "multiprocessing", "concurrent", "asyncio"}
@@ -82,3 +62,22 @@ def test_no_module_starts_threads_or_processes():
                 continue
             for name in names:
                 assert name.split(".")[0] not in banned, f"{path.name} imports {name}"
+
+
+def test_only_the_writer_sorts():
+    # the writer in rdf/trig.py orders quads, terms and graph names; the
+    # store, the reader, assembly and the engine keep insertion order
+    package = Path(__file__).resolve().parent.parent / "src" / "ckrbench"
+    for name in ("rdf/dataset.py", "rdf/terms.py", "model/encoding.py",
+                 "model/repository.py", "engine/closure.py", "calculus.py"):
+        path = package / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            assert not (isinstance(func, ast.Name) and func.id == "sorted"), (
+                f"{name}:{node.lineno} calls sorted("
+            )
+            assert not (isinstance(func, ast.Attribute) and func.attr == "sort"), (
+                f"{name}:{node.lineno} calls .sort("
+            )

@@ -1,6 +1,4 @@
 """Terms, quads and the named-graph store."""
-import random
-
 import pytest
 
 from ckrbench.namespaces import XSD_INTEGER, XSD_STRING
@@ -93,53 +91,6 @@ def test_quad_validation():
         Dataset().add(Quad(gen("s"), gen("p"), gen("o"), literal("g")))
 
 
-def test_match_empty_dataset():
-    assert Dataset().match() == []
-
-
-def test_match_subject_pattern():
-    d = Dataset()
-    mine = [q("a0", "p0", "x"), q("a0", "p1", "y"), q("a0", "p1", "z", "g2")]
-    other = [q("b0", "p0", "x"), q("b0", "p1", "y")]
-    d.add_quads(mine + other)
-    assert set(d.match(s=gen("a0"))) == set(mine)
-
-
-def test_match_graph_pattern():
-    d = random_dataset(7, 300)
-    g = gen("g2")
-    expected = sorted(qq for qq in d if qq.g == g)
-    assert d.match(g=g) == expected
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_match_agrees_with_linear_scan(seed):
-    d = random_dataset(seed, 1500)
-    rng = random.Random(seed + 100)
-    quads = list(d)
-    for _ in range(40):
-        probe = rng.choice(quads)
-        pattern = {
-            name: (getattr(probe, name) if rng.random() < 0.5 else None)
-            for name in ("s", "p", "o", "g")
-        }
-        expected = sorted(
-            (
-                qq
-                for qq in quads
-                if all(v is None or getattr(qq, k) == v for k, v in pattern.items())
-            )
-        )
-        assert d.match(**pattern) == expected
-
-
-def test_match_is_deterministic():
-    d = random_dataset(3, 500)
-    first = d.match(p=gen("p1"))
-    assert first == d.match(p=gen("p1"))
-    assert first == sorted(first)
-
-
 def test_graph_names_and_sizes():
     d = Dataset()
     d.add(q("s", "p", "o", "g1"))
@@ -148,6 +99,13 @@ def test_graph_names_and_sizes():
     assert d.graph_size(gen("g1")) == 1
     assert d.graph_size(gen("empty")) == 0
     assert d.has_graph(gen("empty"))
+
+
+def test_graph_names_come_in_first_appearance_order():
+    d = Dataset([q("s", "p", "o", "g2"), q("s", "p", "o", "g1")])
+    d.declare_graph(gen("g0"))
+    d.add(q("t", "p", "o", "g2"))
+    assert d.graph_names() == [gen("g2"), gen("g1"), gen("g0")]
 
 
 def test_copy_is_independent_and_keeps_declared_graphs():

@@ -1,11 +1,12 @@
 """TriG/Turtle reading, writing and the round-trip contract."""
 import hashlib
+import random
 
 import pytest
 
 from ckrbench.errors import ParseError, SerializationError
 from ckrbench.namespaces import GLOBAL_GRAPH, XSD_INTEGER
-from ckrbench.rdf.dataset import Quad
+from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import blank, iri, literal
 from ckrbench.rdf.trig import load_dataset, write_dataset
 from util import PREAMBLE, gen, random_dataset, trig
@@ -40,7 +41,7 @@ def test_graph_keyword_and_empty_graph():
 def test_object_and_predicate_lists():
     d = trig(":s :p :a , :b ; :q :c .")
     assert len(d) == 3
-    assert len(d.match(s=gen("s"), p=gen("p"))) == 2
+    assert len([q for q in d if q.s == gen("s") and q.p == gen("p")]) == 2
 
 
 def test_literals_and_escapes():
@@ -58,9 +59,10 @@ def test_literals_and_escapes():
 
 def test_collections_and_anonymous_nodes():
     d = trig(":s :p ( :a :b ) . :t :q [ :r :u ] .")
-    firsts = d.match(p=iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#first"))
+    rdf_first = iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#first")
+    firsts = [q for q in d if q.p == rdf_first]
     assert {q.o for q in firsts} == {gen("a"), gen("b")}
-    inner = d.match(p=gen("r"))
+    inner = [q for q in d if q.p == gen("r")]
     assert len(inner) == 1 and inner[0].s.kind == "blank"
 
 
@@ -125,11 +127,11 @@ def test_grammar_error_message_and_position(body, message, line, column):
 
 def test_fresh_blank_label_avoids_a_label_written_later():
     d = trig(":s :p [ :q :o ] . _:genid0 :r :t .")
-    (inner,) = d.match(p=gen("q"))
-    (later,) = d.match(p=gen("r"))
+    (inner,) = [q for q in d if q.p == gen("q")]
+    (later,) = [q for q in d if q.p == gen("r")]
     assert later.s == blank("genid0")
     assert inner.s.kind == "blank" and inner.s != later.s
-    assert d.match(s=gen("s")) == [Quad(gen("s"), gen("p"), inner.s, GLOBAL_GRAPH)]
+    assert [q for q in d if q.s == gen("s")] == [Quad(gen("s"), gen("p"), inner.s, GLOBAL_GRAPH)]
 
 
 def test_undefined_prefix():
@@ -201,6 +203,24 @@ def test_write_is_deterministic():
     a = write_dataset(random_dataset(4, 800))
     b = write_dataset(random_dataset(4, 800))
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_write_bytes_ignore_insertion_order(seed):
+    # the same quads and graphs: once each quad shuffled, once graph by
+    # graph with the graphs reversed, a declared empty graph among them
+    d = random_dataset(seed, 1000)
+    d.declare_graph(gen("empty"))
+    shuffled = Dataset()
+    shuffled.declare_graph(gen("empty"))
+    shuffled.add_quads(random.Random(seed).sample(list(d), len(d)))
+    by_graph = Dataset()
+    for g in reversed(d.graph_names()):
+        by_graph.declare_graph(g)
+        by_graph.add_quads(d.graph(g))
+    assert by_graph.graph_names() != d.graph_names()
+    assert write_dataset(shuffled) == write_dataset(d)
+    assert write_dataset(by_graph) == write_dataset(d)
 
 
 def test_write_bytes_are_pinned():
