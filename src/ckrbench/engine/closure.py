@@ -29,7 +29,13 @@ from typing import Iterator
 
 from ckrbench import calculus as cal
 from ckrbench.calculus import Fact
-from ckrbench.engine.fixpoint import FactStore, IntFact, compile_rules, run_fixpoint
+from ckrbench.engine.fixpoint import (
+    Budget,
+    FactStore,
+    IntFact,
+    compile_rules,
+    run_fixpoint,
+)
 from ckrbench.engine.rules import Regime
 from ckrbench.errors import (
     AssemblyError,
@@ -160,14 +166,15 @@ def compute_closure(
         finally:
             gc.enable()
     t0 = time.perf_counter()
-    deadline = t0 + budget_millis / 1000.0
+    budget = Budget(t0 + budget_millis / 1000.0)
     stage_ms: dict[str, float] = {}
     table = TermTable()
     store = FactStore()
     asserted: dict[str, set[IntFact]] = {}  # asserted facts per relation
 
-    def add_facts(facts, *, is_asserted: bool) -> None:
-        for f in facts:
+    def add_facts(translate, axioms, context: Term, *, is_asserted: bool) -> None:
+        facts = (f for ax in axioms for f in translate(ax, context))
+        for f in budget.ticks(facts):
             rel, enc = f[0], tuple(map(table.intern, f[1:]))
             store.add(rel, enc)
             if is_asserted:
@@ -176,12 +183,13 @@ def compute_closure(
     timed_out = False
     contexts: set[Term] = set()
     mod_assoc: set[tuple[Term, Term]] = set()
+    inference_quads: list[Quad] = []
+    inconsistent: set[Term] = set()
 
     try:
         with _stage(stage_ms, "global"):
-            for ax in repo.global_axioms:
-                add_facts(cal.translate_rl(ax, GLOBAL_GRAPH), is_asserted=True)
-            run_fixpoint(store, compile_rules(regime.global_rules, table.intern), deadline)
+            add_facts(cal.translate_rl, repo.global_axioms, GLOBAL_GRAPH, is_asserted=True)
+            run_fixpoint(store, compile_rules(regime.global_rules, table.intern), budget)
 
         with _stage(stage_ms, "assoc"):
             contexts, mod_assoc = _read_associations(store, table, repo)
@@ -196,23 +204,19 @@ def compute_closure(
                     )
                 propagated = repo.global_object_axioms()
                 for c in contexts:
-                    for ax in repo.context_kb(c, mod_assoc):
-                        add_facts(cal.translate_axiom(ax, c), is_asserted=True)
-                    for ax in propagated:
-                        add_facts(cal.translate_rl(ax, c), is_asserted=False)
+                    kb = repo.context_kb(c, mod_assoc)
+                    add_facts(cal.translate_axiom, kb, c, is_asserted=True)
+                    add_facts(cal.translate_rl, propagated, c, is_asserted=False)
                 run_fixpoint(
-                    store, compile_rules(regime.local_rules, table.intern), deadline
+                    store, compile_rules(regime.local_rules, table.intern), budget
                 )
-    except BudgetExceeded:
-        timed_out = True
 
-    inference_quads: list[Quad] = []
-    inconsistent: set[Term] = set()
-    if not timed_out:
         with _stage(stage_ms, "materialize"):
             inference_quads, inconsistent = _materialize(
-                store, table, asserted, repo, contexts
+                store, table, asserted, repo, contexts, budget
             )
+    except BudgetExceeded:
+        timed_out = True
 
     asserted_facts = sum(len(bucket) for bucket in asserted.values())
     total_facts = len(store)
@@ -271,22 +275,34 @@ def _read_associations(
     return contexts, mod_assoc
 
 
+#: The fixed predicate of the relations whose quad is (arg 0, predicate, arg 1).
+_FIXED_PREDICATE = {cal.INST: RDF_TYPE, cal.EQ: OWL_SAMEAS}
+
+
 def _materialize(
     store: FactStore,
     table: TermTable,
     asserted: dict[str, set[IntFact]],
     repo: CkrRepository,
     contexts: set[Term],
+    budget: Budget,
 ) -> tuple[list[Quad], set[Term]]:
     """The quads, each once, of every non-asserted fact that the dataset
     lacks and can hold, plus the module links of the inference graphs they go
     to, in no particular order; and the inconsistent contexts.  A fact whose
     quad no dataset holds (a literal subject, a predicate that is not an IRI)
-    stays in the facts only."""
+    stays in the facts only.  Ticks ``budget`` once per fact.
+
+    ``inst``, ``triple`` and ``eq`` facts take a fast path in term-id space:
+    each quad is built once from the id-to-term list, and its validity
+    follows from the kinds of its subject and predicate (the inference graph
+    is an IRI).  Other relations go through ``_fact_triples``.  The dataset
+    is probed for a quad only when it holds the quad's inference graph, as
+    it does when a closed dataset is closed again."""
     dataset = repo.dataset
-    term = table.term
+    terms = table.terms
     unsat = store.rels.get(cal.UNSAT, ())
-    inconsistent = {term(enc[0]) for enc in unsat}
+    inconsistent = {terms[enc[0]] for enc in unsat}
     # unsat(c) has the quad of inst(c, ckr:Inconsistent, c): write it for
     # the inst fact alone when that fact is derived too.  No axiom asserts
     # unsat, and the quads stay a list in fact order: hashing all of them
@@ -298,29 +314,57 @@ def _materialize(
         enc for enc in unsat
         if (twin := (enc[0], inc, enc[0])) in inst and twin not in asserted_inst
     }}
-    targets: dict[Term, Term] = {}  # context -> its inference graph
-    linked: set[Term] = set()  # contexts that received a quad
+    # context id -> (its inference graph, whether the dataset holds that graph)
+    targets: dict[int, tuple[Term, bool]] = {}
+
+    def target(c: int) -> tuple[Term, bool]:
+        graph = inference_graph(terms[c])
+        found = targets[c] = (graph, dataset.has_graph(graph))
+        return found
+
+    linked: set[int] = set()  # contexts that received a quad
     quads: list[Quad] = []
     for rel, bucket in store.rels.items():
         known = skip.get(rel, ())
-        for enc in bucket:
+        facts = budget.ticks(bucket)
+        predicate = _FIXED_PREDICATE.get(rel)
+        if predicate is None and rel != cal.TRIPLE:
+            for enc in facts:
+                if enc in known:
+                    continue
+                c = enc[-1]
+                graph, held = targets.get(c) or target(c)
+                for s, p, o in _fact_triples((rel, *map(terms.__getitem__, enc))):
+                    quad = Quad(s, p, o, graph)
+                    if not (held and quad in dataset) and is_valid_quad(quad):
+                        quads.append(quad)
+                        linked.add(c)
+            continue
+        for enc in facts:
             if enc in known:
                 continue
-            f: Fact = (rel, *map(term, enc))
-            ctx = f[-1]
-            target = targets.get(ctx)
-            if target is None:
-                target = targets[ctx] = inference_graph(ctx)
-            for s, p, o in _fact_triples(f):
-                quad = Quad(s, p, o, target)
-                if quad not in dataset and is_valid_quad(quad):
-                    quads.append(quad)
-                    linked.add(ctx)
+            if predicate is None:  # triple
+                s, p, o, c = enc
+                p = terms[p]
+                if p.kind != "iri":
+                    continue
+            else:
+                s, o, c = enc
+                p = predicate
+            s = terms[s]
+            if s.kind == "literal":
+                continue
+            graph, held = targets.get(c) or target(c)
+            quad = Quad(s, p, terms[o], graph)
+            if not (held and quad in dataset):
+                quads.append(quad)
+                linked.add(c)
 
     g_inf = inference_graph(GLOBAL_GRAPH)
-    for ctx in linked:
+    for c in linked:
+        ctx = terms[c]
         if ctx != GLOBAL_GRAPH and ctx in contexts:
-            link = Quad(ctx, MOD_PROPERTY, targets[ctx], g_inf)
+            link = Quad(ctx, MOD_PROPERTY, targets[c][0], g_inf)
             if link not in dataset:
                 quads.append(link)
     return quads, inconsistent
@@ -328,7 +372,8 @@ def _materialize(
 
 def _fact_triples(f: Fact) -> list[tuple[Term, Term, Term]]:
     rel = f[0]
-    # fast paths: the relations that need no auxiliary nodes
+    # the relations that need no auxiliary nodes; ``_materialize`` writes
+    # inst, triple and eq facts by its own fast path to the same triples
     if rel == cal.INST:
         return [(f[1], RDF_TYPE, f[2])]
     if rel == cal.TRIPLE:

@@ -3,10 +3,13 @@
 Facts are tuples of dense term ids grouped per relation.  Each round fires
 every rule once per body atom whose relation has new facts: that atom ranges
 over the previous round's delta, the remaining atoms over the full store,
-and new conclusions are merged at the round barrier.  The result is the
-least fixpoint of the rule set and is independent of rule order, join order
-and delta scheduling (the program is positive and monotone, and the store
-has set semantics).
+and new conclusions are merged at the round barrier.  A delta atom is
+skipped while an earlier atom's relation has no facts older than the round's
+delta (in round 1, every relation): each derivation it could find uses a new
+fact at that earlier atom, whose firing finds it first.  So round 1 fires
+each rule once.  The result is the least fixpoint of the rule set and is
+independent of rule order, join order and delta scheduling (the program is
+positive and monotone, and the store has set semantics).
 
 Join order is size-driven.  Each rule is compiled to one plan per (delta
 atom, driver atom) pair: the driver comes first, and the remaining atoms,
@@ -20,14 +23,21 @@ atoms of one relation the first wins.  The delta atom is probed through a
 per-round delta index that every rule shares and that is dropped at the
 barrier.  A probe whose key binds every position of its atom is a
 membership test on the fact set itself, in the store and in the delta.
+
+A ``Budget`` is ticked once per driver fact and once per head in joins,
+once per fact in index builds and in the round barrier, and read at the
+start of each round.  A closure passes the same budget on to its seeding
+and materialize loops.  A barrier stopped by the budget keeps the facts it
+merged.
 """
 from __future__ import annotations
 
 import logging
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ckrbench.errors import BudgetExceeded
 from ckrbench.engine.rules import Rule, Var
@@ -36,7 +46,8 @@ logger = logging.getLogger(__name__)
 
 IntFact = tuple  # (id, id, ...) — relation kept outside the tuple
 
-#: Driver facts plus join heads between two looks at the clock.
+#: Ticks (driver facts, join heads, facts indexed or merged) between two
+#: looks at the clock.
 _CHECK_EVERY = 8192
 
 
@@ -80,11 +91,11 @@ class FactStore:
         return True
 
     def get_index(
-        self, relation: str, positions: tuple[int, ...]
+        self, relation: str, positions: tuple[int, ...], budget: Budget
     ) -> dict[tuple, list[IntFact]]:
         index = self._index_map.get((relation, positions))
         if index is None:
-            index = _build_index(self.rels.get(relation, ()), positions)
+            index = _build_index(self.rels.get(relation, ()), positions, budget)
             self._index_map[(relation, positions)] = index
             self._index_lists.setdefault(relation, []).append(
                 (_key_getter(positions), index)
@@ -100,10 +111,12 @@ def _key_getter(positions: tuple[int, ...]) -> Callable[[Sequence], tuple]:
     return lambda items: tuple([items[p] for p in positions])
 
 
-def _build_index(facts, positions: tuple[int, ...]) -> dict[tuple, list[IntFact]]:
+def _build_index(
+    facts, positions: tuple[int, ...], budget: Budget
+) -> dict[tuple, list[IntFact]]:
     key_of = _key_getter(positions)
     index: dict[tuple, list[IntFact]] = {}
-    for fact in facts:
+    for fact in budget.ticks(facts):
         key = key_of(fact)
         hit = index.get(key)
         if hit is None:
@@ -257,18 +270,37 @@ def compile_rules(rules, intern) -> list[CompiledRule]:
 # -- evaluation -------------------------------------------------------------
 
 
-class _Budget:
-    """Wall-clock deadline, read once every ``_CHECK_EVERY`` ticks."""
+class Budget:
+    """Wall-clock deadline (``time.perf_counter`` seconds; ``None``: none),
+    read once every ``_CHECK_EVERY`` ticks."""
 
     __slots__ = ("deadline", "left")
 
-    def __init__(self, deadline: float | None) -> None:
+    def __init__(self, deadline: float | None = None) -> None:
         self.deadline = deadline
         self.left = _CHECK_EVERY  # ticks before the next look at the clock
 
     def check(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceeded("closure time budget exhausted")
+
+    def ticks(self, items: Iterable) -> Iterator:
+        """``items``, ticking once per item taken; raises
+        ``BudgetExceeded`` between items once the deadline has passed."""
+        return chain.from_iterable(self._runs(iter(items)))
+
+    def _runs(self, items: Iterator) -> Iterator[list]:
+        # Runs of items up to the next look at the clock, so that the
+        # caller's loop iterates in C between looks.
+        while True:
+            run = list(islice(items, self.left))
+            if not run:
+                return
+            self.left -= len(run)
+            yield run
+            if not self.left:
+                self.check()
+                self.left = _CHECK_EVERY
 
 
 def _fire(
@@ -278,7 +310,7 @@ def _fire(
     step_indexes: list,
     existing: set[IntFact],
     bucket: set[IntFact],
-    budget: _Budget,
+    budget: Budget,
 ) -> None:
     """Join ``seed_facts`` (the driver) through ``step_indexes`` (one per
     step: a hash index, or the fact set itself for a full-key step) and add
@@ -346,6 +378,7 @@ def _step_indexes(
     store: FactStore,
     delta: dict[str, set[IntFact]],
     delta_indexes: dict[tuple[str, tuple[int, ...]], dict],
+    budget: Budget,
 ) -> list:
     """What each step of ``plan`` probes: the round's delta for the delta
     step, the store for the others; a full-key step probes the fact set."""
@@ -353,13 +386,16 @@ def _step_indexes(
     for k, step in enumerate(plan.steps):
         rel, positions = step.atom.relation, step.key_positions
         if k != plan.delta_step:
-            index = store.facts(rel) if step.full else store.get_index(rel, positions)
+            if step.full:
+                index = store.facts(rel)
+            else:
+                index = store.get_index(rel, positions, budget)
         elif step.full:
             index = delta[rel]
         else:
             index = delta_indexes.get((rel, positions))
             if index is None:
-                index = _build_index(delta[rel], positions)
+                index = _build_index(delta[rel], positions, budget)
                 delta_indexes[rel, positions] = index
         indexes.append(index)
     return indexes
@@ -368,10 +404,13 @@ def _step_indexes(
 def run_fixpoint(
     store: FactStore,
     rules: list[CompiledRule],
-    deadline: float | None = None,
+    budget: Budget | None = None,
 ) -> int:
-    """Saturate the store under the rules; returns the number of new facts."""
-    budget = _Budget(deadline)
+    """Saturate the store under the rules; returns the number of new facts.
+    Raises ``BudgetExceeded`` when the budget runs out; the store then holds
+    every fact merged so far."""
+    if budget is None:
+        budget = Budget()
     delta: dict[str, set[IntFact]] = {
         rel: set(facts) for rel, facts in store.rels.items() if facts
     }
@@ -384,6 +423,8 @@ def run_fixpoint(
         # Per-round delta indexes, shared by every rule of the round.
         delta_indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
         driven = seeded = 0
+        # Relations with no facts older than their delta.
+        all_new = {rel for rel, facts in delta.items() if len(facts) == store.size(rel)}
         for rule in rules:
             body = rule.body_relations
             # A rule cannot fire while any of its body relations is empty.
@@ -406,8 +447,12 @@ def run_fixpoint(
                 else:
                     driven += 1
                     seed_facts = store.facts(body[driver])
-                indexes = _step_indexes(plan, store, delta, delta_indexes)
+                indexes = _step_indexes(plan, store, delta, delta_indexes, budget)
                 _fire(rule, plan, seed_facts, indexes, existing, bucket, budget)
+                if rel in all_new:
+                    # Every later delta atom's derivations use a new fact
+                    # here, so this firing found them all.
+                    break
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "round %d: delta %s; %d driver firings, %d delta-seeded",
@@ -418,7 +463,7 @@ def run_fixpoint(
             )
         new_delta: dict[str, set[IntFact]] = {}
         for rel, facts in out.items():
-            fresh = {f for f in facts if store.add(rel, f)}
+            fresh = {f for f in budget.ticks(facts) if store.add(rel, f)}
             if fresh:
                 new_delta[rel] = fresh
                 added_total += len(fresh)

@@ -112,5 +112,11 @@ class TermTable:
     def term(self, tid: int) -> Term:
         return self._terms[tid]
 
+    @property
+    def terms(self) -> list[Term]:
+        """Every term, at the index of its id.  The table's own list: do not
+        modify it."""
+        return self._terms
+
     def __len__(self) -> int:
         return len(self._terms)

@@ -3,10 +3,13 @@ import gc
 import hashlib
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from ckrbench import calculus as cal
+from ckrbench.engine import closure as closure_module
+from ckrbench.engine import fixpoint
 from ckrbench.engine.closure import _fact_triples, check_entailment, compute_closure
 from ckrbench.engine.rules import REGIME_IDS, instantiate_ruleset
 from ckrbench.errors import AssemblyError, InstanceQueryError, UnknownContextError
@@ -31,7 +34,7 @@ from ckrbench.namespaces import (
     inference_graph,
     nominal_class,
 )
-from ckrbench.rdf.dataset import Dataset, Quad
+from ckrbench.rdf.dataset import Dataset, Quad, is_valid_quad
 from ckrbench.rdf.terms import blank, iri, literal
 from ckrbench.rdf.trig import load_dataset, write_dataset
 from util import gen, random_ckr_params, trig
@@ -233,6 +236,29 @@ def test_budget_stops_the_closure_close_to_its_deadline():
     assert time.perf_counter() - start < 2.0
 
 
+def test_budget_stops_materialize(monkeypatch):
+    # The clock jumps past the deadline as materialize starts: the closure
+    # stops inside it, at a look at the clock, and writes nothing.
+    late = [0.0]
+    monkeypatch.setattr(
+        fixpoint, "time", SimpleNamespace(perf_counter=lambda: time.perf_counter() + late[0])
+    )
+    real = closure_module._materialize
+
+    def materialize_late(*args):
+        late[0] = 1e6
+        return real(*args)
+
+    monkeypatch.setattr(closure_module, "_materialize", materialize_late)
+    result = closure(build_ts2(30, 29, 10))
+    assert len(result.facts) > fixpoint._CHECK_EVERY
+    assert late[0] and result.timed_out
+    assert "materialize" in result.per_stage_ms
+    assert result.inference_quads == [] and result.inferred_quad_count == 0
+    assert not result.inconsistent_contexts
+    assert len(result.facts) == result.asserted_fact_count + result.inferred_fact_count
+
+
 def test_closure_leaves_no_reference_cycles():
     repo = assemble_repository(build_ts2(5, 2, 4))
     gc.collect()
@@ -402,35 +428,32 @@ def test_fact_view_lookups_do_not_intern_unseen_terms():
 ONE_MODULE = "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . } "
 
 
+#: Facts whose quad no dataset can hold, each with the module deriving it.
+UNHOLDABLE = {
+    "literal-subject-by-has-value": (
+        ":A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty :p ; "
+        'owl:hasValue "v" ] . :p owl:inverseOf :q . :x a :A .',
+        ("triple", literal("v"), gen("q"), gen("x"), gen("c0")),
+    ),
+    "literal-subject-by-eq-sym": (
+        ':a owl:sameAs "five" .',
+        ("eq", literal("five"), gen("a"), gen("c0")),
+    ),
+    "literal-predicate": (
+        ':p owl:inverseOf "lit" . :a :p :b .',
+        ("triple", gen("b"), literal("lit"), gen("a"), gen("c0")),
+    ),
+    "one-quad-for-two-facts": (
+        # unsat(c0) and inst(c0, ckr:Inconsistent, c0) write the same quad
+        ":c0 a :X , :Y . :X rdfs:subClassOf ckr:Inconsistent , "
+        "[ owl:complementOf :Y ] .",
+        ("unsat", gen("c0")),
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "module, derived",
-    [
-        (
-            ":A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty :p ; "
-            'owl:hasValue "v" ] . :p owl:inverseOf :q . :x a :A .',
-            ("triple", literal("v"), gen("q"), gen("x"), gen("c0")),
-        ),
-        (
-            ':a owl:sameAs "five" .',
-            ("eq", literal("five"), gen("a"), gen("c0")),
-        ),
-        (
-            ':p owl:inverseOf "lit" . :a :p :b .',
-            ("triple", gen("b"), literal("lit"), gen("a"), gen("c0")),
-        ),
-        (
-            # unsat(c0) and inst(c0, ckr:Inconsistent, c0) write the same quad
-            ":c0 a :X , :Y . :X rdfs:subClassOf ckr:Inconsistent , "
-            "[ owl:complementOf :Y ] .",
-            ("unsat", gen("c0")),
-        ),
-    ],
-    ids=[
-        "literal-subject-by-has-value",
-        "literal-subject-by-eq-sym",
-        "literal-predicate",
-        "one-quad-for-two-facts",
-    ],
+    "module, derived", list(UNHOLDABLE.values()), ids=list(UNHOLDABLE)
 )
 def test_facts_a_dataset_cannot_hold_stay_out_of_the_output(module, derived):
     result = closure(trig(ONE_MODULE + ":m0 { " + module + " }"))
@@ -524,3 +547,55 @@ def test_repeated_component_recloses_to_zero():
     assert ("inst", gen("y"), gen("B"), gen("c0")) in first.facts
     reloaded = load_dataset(write_dataset(first.closed_dataset()))
     assert closure(reloaded).inferred_quad_count == 0
+
+
+def generic_inference_quads(repo, result):
+    """The inference quads of a closure, built fact by fact from its
+    term-level facts through ``_fact_triples``, ``Quad`` and
+    ``is_valid_quad``: the asserted facts and the unsat facts whose inst
+    twin is derived write nothing."""
+    asserted = {f for a in repo.global_axioms for f in cal.translate_rl(a, G)}
+    if instantiate_ruleset(result.regime_id).local_rules is not None:
+        for c in result.contexts:
+            for a in repo.context_kb(c, result.mod_assoc):
+                asserted.update(cal.translate_axiom(a, c))
+    quads, linked = [], set()
+    for f in result.facts:
+        twin = ("inst", f[1], INCONSISTENT_CLASS, f[1])
+        if f in asserted or (
+            f[0] == "unsat" and twin in result.facts and twin not in asserted
+        ):
+            continue
+        for s, p, o in _fact_triples(f):
+            q = Quad(s, p, o, inference_graph(f[-1]))
+            if q not in repo.dataset and is_valid_quad(q):
+                quads.append(q)
+                linked.add(f[-1])
+    for c in linked & result.contexts - {G}:
+        link = Quad(c, MOD_PROPERTY, inference_graph(c), inference_graph(G))
+        if link not in repo.dataset:
+            quads.append(link)
+    return quads
+
+
+def materialize_inputs():
+    for seed in range(4):
+        yield f"random-{seed}", generate_ckr(random_ckr_params(random.Random(seed), seed))
+    modules = {name: module for name, (module, _) in UNHOLDABLE.items()}
+    modules["same-as"] = ":a a :A ; :p :b ; owl:sameAs :a2 . :A rdfs:subClassOf :B ."
+    for name, module in modules.items():
+        d = trig(ONE_MODULE + ":m0 { " + module + " }")
+        yield name, d
+        # the input holds the inference graphs, so materialize probes it
+        yield f"{name}-reclosed", load_dataset(write_dataset(closure(d).closed_dataset()))
+
+
+@pytest.mark.parametrize("regime_id", REGIME_IDS)
+def test_materialize_fast_paths_equal_the_generic_path(regime_id):
+    for name, dataset in materialize_inputs():
+        repo = assemble_repository(dataset)
+        result = compute_closure(repo, instantiate_ruleset(regime_id))
+        expected = generic_inference_quads(repo, result)
+        assert len(set(expected)) == len(expected), name
+        assert set(result.inference_quads) == set(expected), name
+        assert len(result.inference_quads) == len(expected), name

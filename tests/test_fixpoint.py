@@ -8,10 +8,13 @@ import logging
 import random
 import re
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
-from ckrbench.engine.fixpoint import FactStore, compile_rules, run_fixpoint
+from ckrbench.engine import fixpoint
+from ckrbench.engine.fixpoint import Budget, FactStore, compile_rules, run_fixpoint
+from ckrbench.errors import BudgetExceeded
 from ckrbench.engine.rules import loc_rules, rl_rules, subsumption_rules
 from ckrbench.namespaces import GLOBAL_GRAPH
 from ckrbench.rdf.terms import TermTable
@@ -254,6 +257,52 @@ def test_rule_order_does_not_change_the_fixpoint(caplog):
     assert rounds[0].startswith("round 1: delta {")
     driven = [int(re.search(r"(\d+) driver firings", m)[1]) for m in rounds]
     assert sum(driven) > 0
+
+
+def test_round_one_fires_each_rule_once(caplog):
+    # Every relation is new in round 1, so each rule whose body relations
+    # all have facts fires from its first delta atom only.
+    for base in (MICRO_BASE, data_heavy_base()):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ckrbench.engine.fixpoint"):
+            close(base, list(RULES))
+        first = next(
+            r.getMessage() for r in caplog.records if r.name == "ckrbench.engine.fixpoint"
+        )
+        found = re.search(r"round 1: .*; (\d+) driver firings, (\d+) delta-seeded", first)
+        present = {f[0] for f in base}
+        ready = [r for r in RULES.values() if all(p.relation in present for p in r.body)]
+        assert any(len(r.body) > 1 for r in ready)
+        assert int(found[1]) + int(found[2]) == len(ready)
+
+
+def test_budget_stops_a_long_round_barrier(monkeypatch):
+    # Round 1 derives 30,000 facts in one quick join.  Merging a fact moves
+    # a fake clock by 1 ms, so the barrier alone would run 30 s, 20 s past
+    # the deadline; it stops at its first look at the clock after 10 s.
+    clock = [0.0]
+    monkeypatch.setattr(fixpoint, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    class SlowStore(FactStore):
+        def add(self, relation, fact):
+            clock[0] += 0.001
+            return super().add(relation, fact)
+
+    table = TermTable()
+    store = SlowStore()
+    n = 30_000
+    base = [("subClass", A, B, c)] + [("inst", gen(f"x{k}"), A, c) for k in range(n)]
+    for f in base:
+        FactStore.add(store, f[0], tuple(table.intern(t) for t in f[1:]))
+    rules = compile_rules([RULES["sub-class"]], table.intern)
+    with pytest.raises(BudgetExceeded):
+        run_fixpoint(store, rules, Budget(deadline=10.0))
+    merged = len(store) - len(base)
+    assert 10_000 <= merged <= 10_000 + fixpoint._CHECK_EVERY
+    # what the barrier merged stays in the store, and nothing else
+    assert clock[0] == pytest.approx(merged * 0.001)
+    b = table.lookup(B)
+    assert sum(1 for f in store.facts("inst") if f[1] == b) == merged
 
 
 def test_range_restriction_enforced():
