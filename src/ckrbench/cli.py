@@ -89,6 +89,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
         "inconsistentContexts": sorted(t.lexical for t in result.inconsistent_contexts),
         "perStageMillis": {k: round(v, 3) for k, v in result.per_stage_ms.items()},
         "totalMillis": round(result.total_ms, 3),
+        "ticks": result.ticks,
         "timedOut": result.timed_out,
     }
     stream = open(args.report, "w") if args.report else sys.stdout

@@ -130,6 +130,7 @@ class ClosureResult:
     inconsistent_contexts: set[Term]
     inference_quads: list[Quad] = field(default_factory=list)
     timed_out: bool = False
+    ticks: int = 0  # budget ticks taken, reached so far when timed out
     _source: Dataset | None = None
 
     def closed_dataset(self) -> Dataset:
@@ -235,6 +236,7 @@ def compute_closure(
         inconsistent_contexts=inconsistent,
         inference_quads=inference_quads,
         timed_out=timed_out,
+        ticks=budget.spent,
         _source=repo.dataset,
     )
     logger.debug(

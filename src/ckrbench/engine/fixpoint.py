@@ -24,20 +24,32 @@ per-round delta index that every rule shares and that is dropped at the
 barrier.  A probe whose key binds every position of its atom is a
 membership test on the fact set itself, in the store and in the delta.
 
+Plans and merges run as generated Python.  A plan becomes one function of
+nested loops over plain locals, one per binding slot: it unpacks each fact,
+probes each step with a literal key tuple and builds the head tuple inline.
+Its source depends only on the plan's shape (which slot each atom binds,
+checks or keys on, and the head's slots); the rule's constant ids come in as
+an argument.  Each relation's set of store indexes gets one appender that
+adds a fact to the fact set and to every index.  Both are compiled on first
+use through one process-wide cache keyed by shape, so every closure of a
+process shares them.  Generated source holds only slot numbers, argument
+positions and fixed names: no term text and no user string.
+
 A ``Budget`` is ticked once per driver fact and once per head in joins,
 once per fact in index builds and in the round barrier, and read at the
-start of each round.  A closure passes the same budget on to its seeding
-and materialize loops.  A barrier stopped by the budget keeps the facts it
-merged.
+start of each round.  It keeps the exact number of ticks taken.  A closure
+passes the same budget on to its seeding and materialize loops.  A barrier
+stopped by the budget keeps the facts it merged.
 """
 from __future__ import annotations
 
 import logging
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ckrbench.errors import BudgetExceeded
 from ckrbench.engine.rules import Rule, Var
@@ -55,12 +67,13 @@ class FactStore:
     """Per-relation fact sets with lazily built, incrementally maintained
     hash indexes keyed on argument positions."""
 
-    __slots__ = ("rels", "_index_lists", "_index_map")
+    __slots__ = ("rels", "_indexes", "_appenders")
 
     def __init__(self) -> None:
         self.rels: dict[str, set[IntFact]] = {}
-        self._index_lists: dict[str, list] = {}  # rel -> [(key getter, dict)]
-        self._index_map: dict[tuple[str, tuple[int, ...]], dict] = {}
+        self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
+        # rel -> its generated appender, bound to its fact set and indexes
+        self._appenders: dict[str, Callable[[Iterable[IntFact]], None]] = {}
 
     def facts(self, relation: str) -> set[IntFact]:
         return self.rels.setdefault(relation, set())
@@ -74,47 +87,43 @@ class FactStore:
 
     def add(self, relation: str, fact: IntFact) -> bool:
         bucket = self.rels.get(relation)
-        if bucket is None:
-            bucket = self.rels[relation] = set()
-        if fact in bucket:
+        if bucket is not None and fact in bucket:
             return False
-        bucket.add(fact)
-        indexes = self._index_lists.get(relation)
-        if indexes:
-            for key_of, index in indexes:
-                key = key_of(fact)
-                hit = index.get(key)
-                if hit is None:
-                    index[key] = [fact]
-                else:
-                    hit.append(fact)
+        self._appender(relation)((fact,))
         return True
+
+    def merge(self, relation: str, facts: Iterable[IntFact]) -> None:
+        """Add and index ``facts``, none of which the store holds yet."""
+        self._appender(relation)(facts)
+
+    def _appender(self, relation: str) -> Callable[[Iterable[IntFact]], None]:
+        append = self._appenders.get(relation)
+        if append is None:
+            indexed = [(pos, ix) for (rel, pos), ix in self._indexes.items() if rel == relation]
+            code = _generated(_APPENDERS, _appender_source, tuple(pos for pos, _ in indexed))
+            append = partial(code, self.facts(relation), *(ix for _, ix in indexed))
+            self._appenders[relation] = append
+        return append
 
     def get_index(
         self, relation: str, positions: tuple[int, ...], budget: Budget
     ) -> dict[tuple, list[IntFact]]:
-        index = self._index_map.get((relation, positions))
+        index = self._indexes.get((relation, positions))
         if index is None:
             index = _build_index(self.rels.get(relation, ()), positions, budget)
-            self._index_map[(relation, positions)] = index
-            self._index_lists.setdefault(relation, []).append(
-                (_key_getter(positions), index)
-            )
+            self._indexes[relation, positions] = index
+            self._appenders.pop(relation, None)
         return index
-
-
-def _key_getter(positions: tuple[int, ...]) -> Callable[[Sequence], tuple]:
-    """The function mapping a fact, or a binding list, to the tuple of its
-    items at ``positions``."""
-    if len(positions) > 1:
-        return itemgetter(*positions)  # builds the tuple in C
-    return lambda items: tuple([items[p] for p in positions])
 
 
 def _build_index(
     facts, positions: tuple[int, ...], budget: Budget
 ) -> dict[tuple, list[IntFact]]:
-    key_of = _key_getter(positions)
+    if len(positions) > 1:
+        key_of = itemgetter(*positions)  # builds the key tuple in C
+    else:
+        (p,) = positions
+        key_of = lambda fact: (fact[p],)
     index: dict[tuple, list[IntFact]] = {}
     for fact in budget.ticks(facts):
         key = key_of(fact)
@@ -128,36 +137,50 @@ def _build_index(
 
 # -- rule compilation -------------------------------------------------------
 #
-# A rule's variables and constants share one numbering of binding slots;
-# constant slots are filled before a firing starts, so every key and head
-# reads slots only.
+# A rule's variables and constants share one numbering of binding slots, the
+# variables first; every key, check and head reads slots only.
+
+# The role of an atom position: it binds its slot, is checked against a slot
+# already bound, or (in a probed step) is part of the probe's key.
+_BIND, _CHECK, _KEY = range(3)
 
 
-class _Atom(NamedTuple):
-    relation: str
-    binders: tuple[tuple[int, int], ...]  # (position, slot) first occurrence
-    checks: tuple[tuple[int, int], ...]  # (position, slot) slot already bound
+def _roles(atom: tuple[int, ...], bound: set[int], probed: bool) -> tuple:
+    """Per position of ``atom`` (its slots), ``(role, slot)`` given the slots
+    bound before it; adds the slots that the atom binds to ``bound``."""
+    roles = []
+    fresh: set[int] = set()
+    for slot in atom:
+        if slot in bound:
+            roles.append((_KEY if probed else _CHECK, slot))
+        elif slot in fresh:
+            roles.append((_CHECK, slot))
+        else:
+            roles.append((_BIND, slot))
+            fresh.add(slot)
+    bound |= fresh
+    return tuple(roles)
 
 
 class _JoinStep(NamedTuple):
-    atom: _Atom  # binders, and checks on slots this atom binds itself
+    relation: str
     key_positions: tuple[int, ...]  # ascending
-    key_of: Callable[[list], tuple]  # binding -> key on key_positions
     full: bool  # the key is the whole fact: probe by set membership
 
 
 class _Plan(NamedTuple):
-    seed: _Atom  # the driver atom
     steps: tuple[_JoinStep, ...]
     delta_step: int  # the step probing the delta; -1: the driver is the delta
+    # (variable count, slot count, per atom in join order its roles, head
+    # slots): all that the plan's generated join depends on
+    shape: tuple
 
 
 @dataclass(frozen=True)
 class CompiledRule:
     name: str
     head_relation: str
-    head_of: Callable[[list], tuple]  # binding -> head fact
-    binding: tuple  # initial binding: None per variable, then constant ids
+    constants: tuple[int, ...]  # the ids of the constant slots, in order
     # per delta position: (driver position, plan) pairs, the delta's own first
     plans: tuple[tuple[tuple[int, _Plan], ...], ...]
     body_relations: tuple[str, ...]
@@ -173,37 +196,23 @@ def compile_rule(rule: Rule, intern) -> CompiledRule:
             if isinstance(arg, Var):
                 slots.setdefault(arg.name, len(slots))
     n_vars = len(slots)
-    binding: list = [None] * n_vars
+    constants: list[int] = []
 
     def slot_of(arg) -> int:
         if isinstance(arg, Var):
             return slots[arg.name]
         if arg not in slots:
-            slots[arg] = len(binding)
-            binding.append(intern(arg))
+            slots[arg] = n_vars + len(constants)
+            constants.append(intern(arg))
         return slots[arg]
 
     atom_slots = [tuple(map(slot_of, p.args)) for p in body]
-    constant_slots = set(range(n_vars, len(binding)))
-
-    def split(k: int, bound: set[int]) -> tuple[tuple, tuple]:
-        """(binders, checks) of atom ``k`` given the slots bound before it."""
-        binders: list[tuple[int, int]] = []
-        checks: list[tuple[int, int]] = []
-        fresh: set[int] = set()
-        for pos, slot in enumerate(atom_slots[k]):
-            if slot in bound or slot in fresh:
-                checks.append((pos, slot))
-            else:
-                binders.append((pos, slot))
-                fresh.add(slot)
-        return tuple(binders), tuple(checks)
+    head_slots = tuple(map(slot_of, rule.head.args))
+    n_slots = n_vars + len(constants)
 
     def plan(delta: int, driver: int) -> _Plan:
-        bound = set(constant_slots)
-        binders, checks = split(driver, bound)
-        seed = _Atom(body[driver].relation, binders, checks)
-        bound.update(slot for _, slot in binders)
+        bound = set(range(n_vars, n_slots))
+        atoms = [_roles(atom_slots[driver], bound, probed=False)]
         # The delta atom leads the remaining list, so the stable greedy
         # sort below lets it win ties.
         remaining = [delta] if delta != driver else []
@@ -224,20 +233,11 @@ def compile_rule(rule: Rule, intern) -> CompiledRule:
             k = remaining.pop(0)
             if k == delta:
                 delta_step = len(steps)
-            binders, checks = split(k, bound)
-            keyed = [(pos, slot) for pos, slot in checks if slot in bound]
-            # checks on slots bound within this same atom stay as post-checks
-            post_checks = tuple(c for c in checks if c[1] not in bound)
-            steps.append(
-                _JoinStep(
-                    _Atom(body[k].relation, binders, post_checks),
-                    tuple(pos for pos, _ in keyed),
-                    _key_getter(tuple(slot for _, slot in keyed)),
-                    len(keyed) == len(atom_slots[k]),
-                )
-            )
-            bound.update(slot for _, slot in binders)
-        return _Plan(seed, tuple(steps), delta_step)
+            roles = _roles(atom_slots[k], bound, probed=True)
+            keyed = tuple(pos for pos, (role, _) in enumerate(roles) if role == _KEY)
+            steps.append(_JoinStep(body[k].relation, keyed, len(keyed) == len(roles)))
+            atoms.append(roles)
+        return _Plan(tuple(steps), delta_step, (n_vars, n_slots, tuple(atoms), head_slots))
 
     def drivers(delta: int) -> list[int]:
         """The driver positions the size rule can pick for this delta atom:
@@ -256,8 +256,7 @@ def compile_rule(rule: Rule, intern) -> CompiledRule:
     return CompiledRule(
         rule.name,
         rule.head.relation,
-        _key_getter(tuple(map(slot_of, rule.head.args))),
-        tuple(binding),
+        tuple(constants),
         plans,
         tuple(p.relation for p in body),
     )
@@ -267,6 +266,107 @@ def compile_rules(rules, intern) -> list[CompiledRule]:
     return [compile_rule(r, intern) for r in rules]
 
 
+# -- generated code -----------------------------------------------------------
+#
+# Sources are built from ints and fixed names only.  In a join, slot s is the
+# local ``v<s>``, step k probes ``I<k>`` and a checked position p is
+# unpacked to ``t<p>``.
+
+#: Process-wide caches of generated functions, keyed by shape.  A function
+#: depends on its key alone, so every caller can share it; the caches hold
+#: one entry per shape of the rules and index sets met so far.
+_JOINS: dict[tuple, Callable] = {}
+_APPENDERS: dict[tuple, Callable] = {}
+
+
+def _generated(cache: dict, source_of: Callable[[tuple], str], shape: tuple) -> Callable:
+    """The function that ``source_of(shape)`` defines, compiled once."""
+    code = cache.get(shape)
+    if code is None:
+        # Defined into its own namespace, not its globals, so the function
+        # and its globals form no reference cycle.
+        namespace: dict = {}
+        exec(source_of(shape), {}, namespace)
+        (code,) = namespace.values()
+        cache[shape] = code
+    return code
+
+
+def _tuple_source(items: Iterable[str]) -> str:
+    return f"({', '.join(items)},)"
+
+
+def _join_source(shape: tuple) -> str:
+    """``join(facts, indexes, constants, existing, bucket, budget)``: join
+    the driver ``facts`` through ``indexes`` (one per step: a hash index, or
+    the fact set itself for a full-key step) and add the heads missing from
+    ``existing`` to ``bucket``.  Ticks ``budget`` once per driver fact and
+    once per head."""
+    n_vars, n_slots, atoms, head = shape
+    lines = ["def join(facts, indexes, constants, existing, bucket, budget):"]
+
+    def emit(depth: int, line: str) -> None:
+        lines.append("    " * depth + line)
+
+    def tick(depth: int) -> None:
+        emit(depth, "left -= 1")
+        emit(depth, "if not left:")
+        emit(depth + 1, "left = budget.refill()")
+
+    if n_slots > n_vars:
+        emit(1, _tuple_source(f"v{s}" for s in range(n_vars, n_slots)) + " = constants")
+    if len(atoms) > 1:
+        emit(1, _tuple_source(f"I{k}" for k in range(len(atoms) - 1)) + " = indexes")
+    emit(1, "add = bucket.add")
+    emit(1, "left = budget.left")
+    emit(1, "try:")
+    emit(2, "for f in facts:")
+    depth = 3
+    tick(depth)
+    names = {_BIND: "v{s}", _CHECK: "t{p}", _KEY: "_"}
+    for k, roles in enumerate(atoms):
+        fact = "f" if k == 0 else f"f{k}"
+        if k:
+            key = _tuple_source(f"v{s}" for role, s in roles if role == _KEY)
+            if all(role == _KEY for role, _ in roles):
+                emit(depth, f"if {key} not in I{k - 1}: continue")
+                continue
+            emit(depth, f"for {fact} in I{k - 1}.get({key}, ()):")
+            depth += 1
+        targets = (names[role].format(s=s, p=p) for p, (role, s) in enumerate(roles))
+        emit(depth, f"{_tuple_source(targets)} = {fact}")
+        checks = [f"t{p} != v{s}" for p, (role, s) in enumerate(roles) if role == _CHECK]
+        if checks:
+            emit(depth, f"if {' or '.join(checks)}: continue")
+    tick(depth)
+    emit(depth, f"head = {_tuple_source(f'v{s}' for s in head)}")
+    emit(depth, "if head not in existing:")
+    emit(depth + 1, "add(head)")
+    emit(1, "finally:")
+    emit(2, "budget.left = left")
+    return "\n".join(lines) + "\n"
+
+
+def _appender_source(indexes: tuple[tuple[int, ...], ...]) -> str:
+    """``append(bucket, I0, ..., facts)``: add each fact to ``bucket`` and to
+    the store index ``I<k>`` keyed on positions ``indexes[k]``."""
+    names = [f"I{k}" for k in range(len(indexes))]
+    lines = [f"def append({', '.join(['bucket', *names, 'facts'])}):"]
+    if not indexes:
+        return lines[0] + "\n    bucket.update(facts)\n"
+    lines += ["    add = bucket.add", "    for f in facts:", "        add(f)"]
+    for name, positions in zip(names, indexes):
+        lines += [
+            f"        k = {_tuple_source(f'f[{p}]' for p in positions)}",
+            f"        h = {name}.get(k)",
+            "        if h is None:",
+            f"            {name}[k] = [f]",
+            "        else:",
+            "            h.append(f)",
+        ]
+    return "\n".join(lines) + "\n"
+
+
 # -- evaluation -------------------------------------------------------------
 
 
@@ -274,15 +374,28 @@ class Budget:
     """Wall-clock deadline (``time.perf_counter`` seconds; ``None``: none),
     read once every ``_CHECK_EVERY`` ticks."""
 
-    __slots__ = ("deadline", "left")
+    __slots__ = ("deadline", "left", "_spent")
 
     def __init__(self, deadline: float | None = None) -> None:
         self.deadline = deadline
         self.left = _CHECK_EVERY  # ticks before the next look at the clock
+        self._spent = 0  # ticks of the runs before the current one
+
+    @property
+    def spent(self) -> int:
+        """The ticks taken so far."""
+        return self._spent + _CHECK_EVERY - self.left
 
     def check(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceeded("closure time budget exhausted")
+
+    def refill(self) -> int:
+        """End a run of ``_CHECK_EVERY`` ticks with a look at the clock;
+        returns the next run's length."""
+        self.check()
+        self._spent += _CHECK_EVERY
+        return _CHECK_EVERY
 
     def ticks(self, items: Iterable) -> Iterator:
         """``items``, ticking once per item taken; raises
@@ -299,78 +412,7 @@ class Budget:
             self.left -= len(run)
             yield run
             if not self.left:
-                self.check()
-                self.left = _CHECK_EVERY
-
-
-def _fire(
-    rule: CompiledRule,
-    plan: _Plan,
-    seed_facts,
-    step_indexes: list,
-    existing: set[IntFact],
-    bucket: set[IntFact],
-    budget: Budget,
-) -> None:
-    """Join ``seed_facts`` (the driver) through ``step_indexes`` (one per
-    step: a hash index, or the fact set itself for a full-key step) and add
-    the heads missing from ``existing`` to ``bucket``.  Ticks ``budget``
-    once per driver fact and once per head."""
-    steps = plan.steps
-    head_of = rule.head_of
-    binding = list(rule.binding)
-    last = len(steps)
-    left = budget.left
-
-    def join(level: int) -> None:
-        nonlocal left
-        if level == last:
-            left -= 1
-            if not left:
-                budget.check()
-                left = _CHECK_EVERY
-            head = head_of(binding)
-            if head not in existing:
-                bucket.add(head)
-            return
-        step = steps[level]
-        key = step.key_of(binding)
-        if step.full:
-            if key in step_indexes[level]:
-                join(level + 1)
-            return
-        candidates = step_indexes[level].get(key)
-        if not candidates:
-            return
-        binders, checks = step.atom.binders, step.atom.checks
-        for fact in candidates:
-            for pos, slot in binders:
-                binding[slot] = fact[pos]
-            for pos, slot in checks:
-                if binding[slot] != fact[pos]:
-                    break
-            else:
-                join(level + 1)
-
-    binders, checks = plan.seed.binders, plan.seed.checks
-    try:
-        for fact in seed_facts:
-            left -= 1
-            if not left:
-                budget.check()
-                left = _CHECK_EVERY
-            for pos, slot in binders:
-                binding[slot] = fact[pos]
-            for pos, slot in checks:
-                if binding[slot] != fact[pos]:
-                    break
-            else:
-                join(0)
-    finally:
-        budget.left = left
-        # ``join`` refers to itself through its closure cell; break that
-        # cycle so this firing's indexes and buckets die with the call.
-        join = None  # noqa: F841
+                self.left = self.refill()
 
 
 def _step_indexes(
@@ -383,14 +425,13 @@ def _step_indexes(
     """What each step of ``plan`` probes: the round's delta for the delta
     step, the store for the others; a full-key step probes the fact set."""
     indexes = []
-    for k, step in enumerate(plan.steps):
-        rel, positions = step.atom.relation, step.key_positions
+    for k, (rel, positions, full) in enumerate(plan.steps):
         if k != plan.delta_step:
-            if step.full:
+            if full:
                 index = store.facts(rel)
             else:
                 index = store.get_index(rel, positions, budget)
-        elif step.full:
+        elif full:
             index = delta[rel]
         else:
             index = delta_indexes.get((rel, positions))
@@ -448,7 +489,8 @@ def run_fixpoint(
                     driven += 1
                     seed_facts = store.facts(body[driver])
                 indexes = _step_indexes(plan, store, delta, delta_indexes, budget)
-                _fire(rule, plan, seed_facts, indexes, existing, bucket, budget)
+                join = _generated(_JOINS, _join_source, plan.shape)
+                join(seed_facts, indexes, rule.constants, existing, bucket, budget)
                 if rel in all_new:
                     # Every later delta atom's derivations use a new fact
                     # here, so this firing found them all.
@@ -461,11 +503,10 @@ def run_fixpoint(
                 driven,
                 seeded,
             )
-        new_delta: dict[str, set[IntFact]] = {}
-        for rel, facts in out.items():
-            fresh = {f for f in budget.ticks(facts) if store.add(rel, f)}
-            if fresh:
-                new_delta[rel] = fresh
-                added_total += len(fresh)
-        delta = new_delta
+        # Every head was checked against the store, which the round leaves
+        # unchanged until here: each bucket holds new facts only.
+        delta = {rel: facts for rel, facts in out.items() if facts}
+        for rel, facts in delta.items():
+            store.merge(rel, budget.ticks(facts))
+            added_total += len(facts)
     return added_total

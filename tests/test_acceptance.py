@@ -52,12 +52,19 @@ def derived_d1(result):
 
 
 @pytest.fixture(scope="module")
-def full_sweep_results():
+def full_sweep_ticks():
+    """Budget tick total per k of the full sweep, kept by
+    ``full_sweep_results``."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def full_sweep_results(full_sweep_ticks):
     """Closures of the propagation experiment at full scale
     (100 contexts, 10 instances, connection extract 0, 4, 9, ..., 99).
     Five timed runs per point, the fastest one speaks (robust against
-    scheduler noise); only counts and timings are retained so late points
-    are not skewed by held memory."""
+    scheduler noise); only counts, tick totals and timings are retained so
+    late points are not skewed by held memory."""
     points = []
     for n, k, m in FULL_SWEEP:
         repo = assemble_repository(build_ts2(n, k, m))
@@ -70,6 +77,7 @@ def full_sweep_results():
             count = len(derived_d1(result))
             assert d1_count is None or count == d1_count
             d1_count = count
+            assert full_sweep_ticks.setdefault(k, result.ticks) == result.ticks
         points.append((n, k, m, d1_count, best_ms))
     return points
 
@@ -117,6 +125,16 @@ def test_criterion_3_propagation_time_linearity(full_sweep_results):
         f"ACCEPTANCE 3 PASS: closure time linear in connection count, "
         f"R^2 = {r2:.4f} (slope {slope:.2f} ms/k over k = 0..99)"
     )
+
+
+def test_propagation_work_linearity(full_sweep_results, full_sweep_ticks):
+    # The deterministic companion of criterion 3: the closure's budget
+    # ticks (join heads, driver facts, facts indexed, merged, seeded and
+    # materialized) are linear in k, whatever the host's speed.
+    ks = [float(k) for _, k, _, _, _ in full_sweep_results]
+    ticks = [float(full_sweep_ticks[k]) for _, k, _, _, _ in full_sweep_results]
+    slope, intercept, r2 = linear_fit(ks, ticks)
+    assert r2 >= 0.999, f"R^2 = {r2:.5f} (fit ticks = {slope:.1f}k + {intercept:.1f})"
 
 
 TABLE_TOTALS = [

@@ -133,6 +133,7 @@ def test_cli_closure_report_and_output(ts2_file, tmp_path, capsys):
     assert report["totalQuads"] == report["assertedQuads"] + report["inferredQuads"]
     assert report["contexts"] == 10
     assert not report["timedOut"]
+    assert report["ticks"] > 0
     assert set(report["perStageMillis"]) >= {"global", "assoc", "local"}
     closed = load_path(str(out))
     assert len(closed) == report["totalQuads"]

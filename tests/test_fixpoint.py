@@ -284,9 +284,13 @@ def test_budget_stops_a_long_round_barrier(monkeypatch):
     monkeypatch.setattr(fixpoint, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
 
     class SlowStore(FactStore):
-        def add(self, relation, fact):
-            clock[0] += 0.001
-            return super().add(relation, fact)
+        def merge(self, relation, facts):
+            def slow(facts):
+                for fact in facts:
+                    clock[0] += 0.001
+                    yield fact
+
+            super().merge(relation, slow(facts))
 
     table = TermTable()
     store = SlowStore()
@@ -303,6 +307,57 @@ def test_budget_stops_a_long_round_barrier(monkeypatch):
     assert clock[0] == pytest.approx(merged * 0.001)
     b = table.lookup(B)
     assert sum(1 for f in store.facts("inst") if f[1] == b) == merged
+
+
+def test_generated_joins_are_shared_by_shape(monkeypatch):
+    # Two term tables intern the eval rules' constant (the global context)
+    # first and last, so the rules carry different constant ids; the
+    # closures still fire the same generated functions, one per plan shape.
+    rules = [RULES[n] for n in ("eval-class", "eval-role", "sub-class", "role-chain")]
+    base = data_heavy_base() + [
+        ("subEval", A, C, B, c),
+        ("subEvalR", R, C, S, c),
+        ("subRChain", R, S, T, c),
+        ("inst", c2, C, G),
+        ("inst", x, A, c2),
+        ("triple", x, R, y, c2),
+    ]
+    fired = []
+    real = fixpoint._generated
+
+    def recording(cache, source_of, shape):
+        code = real(cache, source_of, shape)
+        if cache is fixpoint._JOINS:
+            fired.append(code)
+        return code
+
+    monkeypatch.setattr(fixpoint, "_generated", recording)
+    runs = []
+    for global_first in (True, False):
+        table = TermTable()
+        if global_first:
+            table.intern(G)
+        store = FactStore()
+        for f in base:
+            store.add(f[0], tuple(table.intern(t) for t in f[1:]))
+        compiled = compile_rules(rules, table.intern)
+        del fired[:]
+        run_fixpoint(store, compiled, Budget())
+        constants = [r.constants for r in compiled]
+        closed = {(rel, *map(table.term, enc)) for rel, b in store.rels.items() for enc in b}
+        runs.append((constants, fired[:], closed, table))
+    (constants1, fired1, closed1, table1), (constants2, fired2, closed2, table2) = runs
+    assert constants1 != constants2
+    assert closed1 == closed2 and len(closed1) > len(base)
+    assert len(fired1) == len(fired2) > 0
+    assert all(a is b for a, b in zip(fired1, fired2))
+    # no generated source holds term text, nor any string literal
+    sources = [fixpoint._join_source(s) for s in fixpoint._JOINS]
+    sources += [fixpoint._appender_source(s) for s in fixpoint._APPENDERS]
+    lexicals = {t.lexical for table in (table1, table2) for t in table.terms}
+    for source in sources:
+        assert '"' not in source and "'" not in source
+        assert not [lex for lex in lexicals if lex in source]
 
 
 def test_range_restriction_enforced():

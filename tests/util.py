@@ -28,11 +28,14 @@ PREAMBLE = """\
 """
 
 
-def run_python(script: str) -> str:
-    """Standard output of ``script`` run in a fresh interpreter."""
+def run_python(script: str, hash_seed: int | None = None) -> str:
+    """Standard output of ``script`` run in a fresh interpreter, with
+    ``PYTHONHASHSEED`` set to ``hash_seed`` when one is given."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=120, check=True,
