@@ -66,7 +66,7 @@ def _resolve(text: str) -> Term:
 
 
 def _assemble(path: str) -> CkrRepository:
-    """The repository of a TriG/Turtle file, its warnings logged."""
+    """The repository of a TriG file, its warnings logged."""
     repo = assemble_repository(load_path(path))
     for warning in repo.warnings:
         logger.warning("%s: %s", path, warning)
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("closure", help="materialize the inference closure")
-    p.add_argument("input", help="TriG/Turtle input file")
+    p.add_argument("input", help="TriG input file (a Turtle file is read as TriG)")
     p.add_argument("--regime", default=DEFAULT_REGIME, choices=REGIME_IDS)
     p.add_argument("--out", help="write the closed dataset here (TriG)")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate one dataset from a params file")
     p.add_argument("params", help="key=value parameter file")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="write the dataset here (TriG)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("gen-suite", help="generate a benchmark suite")

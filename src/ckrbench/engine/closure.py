@@ -374,14 +374,6 @@ def _materialize(
 
 def _fact_triples(f: Fact) -> list[tuple[Term, Term, Term]]:
     rel = f[0]
-    # the relations that need no auxiliary nodes; ``_materialize`` writes
-    # inst, triple and eq facts by its own fast path to the same triples
-    if rel == cal.INST:
-        return [(f[1], RDF_TYPE, f[2])]
-    if rel == cal.TRIPLE:
-        return [(f[1], f[2], f[3])]
-    if rel == cal.EQ:
-        return [(f[1], OWL_SAMEAS, f[2])]
     if rel == cal.UNSAT:
         return [(f[1], RDF_TYPE, INCONSISTENT_CLASS)]
     mint = skolem_minter(rel, *map(_skolem_part, f[1:]))

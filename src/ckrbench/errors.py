@@ -7,16 +7,12 @@ class CkrError(Exception):
 
 
 class ParseError(CkrError):
-    """Syntax error in TriG/Turtle input, with position information."""
+    """Syntax error in TriG input, with position information."""
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-class SerializationError(CkrError):
-    """A dataset cannot be written in the requested format."""
 
 
 class EncodingError(CkrError):

@@ -1,4 +1,4 @@
-"""RDF terms, quads, the named-graph store and TriG/Turtle I/O."""
+"""RDF terms, quads, the named-graph store and TriG I/O."""
 
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import Term, TermTable, blank, iri, literal

@@ -88,9 +88,6 @@ class Dataset:
         """All quads of one named graph, in first-insertion order."""
         return list(self._graphs.get(g, ()))
 
-    def graph_size(self, g: Term) -> int:
-        return len(self._graphs.get(g, ()))
-
     def copy(self) -> "Dataset":
         """An independent copy of the validated state, not re-inserted."""
         d = Dataset()

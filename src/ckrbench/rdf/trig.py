@@ -1,4 +1,4 @@
-"""TriG and Turtle reading and writing.
+"""TriG reading and writing.
 
 Hand-rolled recursive-descent parser over the regex match stream, one token
 of lookahead.  Covers the slice of TriG the repository format uses plus the
@@ -22,9 +22,9 @@ order their quads and graphs were inserted in.
 from __future__ import annotations
 
 import re
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from ckrbench.errors import ParseError, SerializationError
+from ckrbench.errors import ParseError
 from ckrbench.namespaces import (
     GLOBAL_GRAPH,
     INFERENCE_SUFFIX,
@@ -126,11 +126,10 @@ class _Parser:
     another kind has the same text.
     """
 
-    def __init__(self, text: str, *, turtle_only: bool = False) -> None:
+    def __init__(self, text: str) -> None:
         self.text = text
         self._pull = _tokenize(text).__next__
         self.tok = self._pull()
-        self.turtle_only = turtle_only
         self.prefixes: dict[str, str] = {}
         self.base: str | None = None
         self.dataset = Dataset()
@@ -211,8 +210,6 @@ class _Parser:
         self._expect("PUNCT", ".")
 
     def _graph_block(self, name: Term) -> None:
-        if self.turtle_only:
-            raise self._fail("graph blocks are not allowed in Turtle", self.tok)
         self._expect("PUNCT", "{")
         self.dataset.declare_graph(name)
         while self.tok[1] != "}":
@@ -391,31 +388,19 @@ def decode_utf8(data: bytes) -> str:
         ) from None
 
 
-def _as_text(source: str | bytes | IO) -> str:
-    if isinstance(source, str):
-        return source
-    data = source if isinstance(source, bytes) else source.read()
-    return decode_utf8(data) if isinstance(data, bytes) else data
+def load_dataset(source: str | bytes) -> Dataset:
+    """Parse a TriG document into a dataset.
 
-
-def load_dataset(source: str | bytes | IO, format: str = "trig") -> Dataset:
-    """Parse a TriG (or Turtle) document into a dataset.
-
-    Turtle input populates the reserved default graph.
+    A Turtle document is TriG without graph blocks: its triples land in the
+    reserved default graph.
     """
-    text = _as_text(source)
-    if format == "trig":
-        return _Parser(text).parse()
-    if format == "turtle":
-        return _Parser(text, turtle_only=True).parse()
-    raise ValueError(f"unsupported format: {format!r}")
+    text = source if isinstance(source, str) else decode_utf8(source)
+    return _Parser(text).parse()
 
 
-def load_path(path: str, format: str | None = None) -> Dataset:
-    if format is None:
-        format = "turtle" if path.endswith((".ttl", ".turtle")) else "trig"
+def load_path(path: str) -> Dataset:
     with open(path, "rb") as fh:
-        return load_dataset(fh, format)
+        return load_dataset(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +452,7 @@ class _Writer:
             return f'"{body}"@{dt[len(_LANG_MARKER):]}'
         return f'"{body}"^^{self._format_iri(dt)}'
 
-    def header(self) -> list[str]:
-        lines = [
-            f"@prefix {prefix}: <{ns}> ."
-            for prefix, ns in self.prefixes.items()
-        ]
-        lines.append("")
-        return lines
-
-    def triple_lines(self, quads: Iterable[Quad], indent: str) -> list[str]:
+    def triple_lines(self, quads: Iterable[Quad]) -> list[str]:
         # Group by subject, then predicate; Term order throughout.
         grouped: dict[Term, dict[Term, list[Term]]] = {}
         for q in quads:
@@ -490,44 +467,28 @@ class _Writer:
                 objs = ", ".join(map(self.format_term, objects))
                 pred = "a" if p == RDF_TYPE else self.format_term(p)
                 parts.append(f"{pred} {objs}")
-            joined = f" ;\n{indent}    ".join(parts)
-            lines.append(f"{indent}{self.format_term(s)} {joined} .")
+            joined = " ;\n        ".join(parts)
+            lines.append(f"    {self.format_term(s)} {joined} .")
         return lines
 
     def trig(self) -> str:
-        lines = self.header()
+        lines = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in self.prefixes.items()]
+        lines.append("")
         for g in sorted(self.dataset.graph_names()):
             lines.append(f"{self.format_term(g)} {{")
-            lines.extend(self.triple_lines(self.dataset.graph(g), "    "))
+            lines.extend(self.triple_lines(self.dataset.graph(g)))
             lines.append("}")
             lines.append("")
         return "\n".join(lines)
 
-    def turtle(self) -> str:
-        graphs = [g for g in self.dataset.graph_names() if self.dataset.graph_size(g)]
-        if len(graphs) > 1:
-            raise SerializationError(
-                f"turtle output requires a single graph, dataset has {len(graphs)}"
-            )
-        lines = self.header()
-        if graphs:
-            lines.extend(self.triple_lines(self.dataset.graph(graphs[0]), ""))
-        lines.append("")
-        return "\n".join(lines)
+def write_dataset(dataset: Dataset) -> bytes:
+    """Serialize a dataset as TriG; output parses back to an equal dataset."""
+    return _Writer(dataset).trig().encode("utf-8")
 
 
-def write_dataset(dataset: Dataset, format: str = "trig") -> bytes:
-    """Serialize a dataset; output parses back to an equal dataset."""
-    writer = _Writer(dataset)
-    if format == "trig":
-        return writer.trig().encode("utf-8")
-    if format == "turtle":
-        return writer.turtle().encode("utf-8")
-    raise ValueError(f"unsupported format: {format!r}")
-
-
-def write_path(dataset: Dataset, path: str, format: str | None = None) -> None:
-    if format is None:
-        format = "turtle" if path.endswith((".ttl", ".turtle")) else "trig"
+def write_path(dataset: Dataset, path: str) -> None:
+    """Write a dataset as TriG; the file is opened only once the bytes are
+    ready, so a failed serialization leaves it as it was."""
+    data = write_dataset(dataset)
     with open(path, "wb") as fh:
-        fh.write(write_dataset(dataset, format))
+        fh.write(data)

@@ -15,8 +15,12 @@ from ckrbench.bench import (
     write_csv,
 )
 from ckrbench.cli import main
+from ckrbench.engine.closure import compute_closure
+from ckrbench.engine.rules import instantiate_ruleset
 from ckrbench.generator import GenParams, build_ts2
-from ckrbench.rdf.trig import load_path, write_path
+from ckrbench.model.repository import assemble_repository
+from ckrbench.namespaces import GLOBAL_GRAPH
+from ckrbench.rdf.trig import load_path, write_dataset, write_path
 from util import PREAMBLE, gen
 
 
@@ -56,6 +60,28 @@ def test_bench_file_rejects_fewer_than_one_run(tmp_path):
     # the file does not exist: the value is checked before anything is read
     with pytest.raises(ValueError, match="got 0"):
         bench_file(tmp_path / "never-read.trig", ["ckr-owl-local"], runs=0)
+
+
+def test_bench_file_keeps_a_timed_out_run(ts2_dir, monkeypatch):
+    import ckrbench.bench
+
+    compute = ckrbench.bench.compute_closure
+    calls = []
+
+    def second_run_has_no_time(repo, regime, budget_millis):
+        calls.append(budget_millis)
+        return compute(repo, regime, 0 if len(calls) == 2 else budget_millis)
+
+    monkeypatch.setattr(ckrbench.bench, "compute_closure", second_run_has_no_time)
+    records = bench_file(ts2_dir / "ts2-n10-k2.trig", ["ckr-owl-local"], runs=3)
+    assert [r.timedout for r in records] == [False, True, False, True]
+    first, timed_out, third, avg = records
+    assert timed_out.inferred == 0 and timed_out.total == timed_out.asserted
+    assert first.inferred == third.inferred == 210
+    # the averaged row keeps the counts of a finished run
+    assert (avg.asserted, avg.total, avg.inferred) == (
+        first.asserted, first.total, first.inferred
+    )
 
 
 def test_bench_file_assembles_the_repository_once(ts2_dir, monkeypatch):
@@ -137,6 +163,22 @@ def test_cli_closure_report_and_output(ts2_file, tmp_path, capsys):
     assert set(report["perStageMillis"]) >= {"global", "assoc", "local"}
     closed = load_path(str(out))
     assert len(closed) == report["totalQuads"]
+
+
+def test_cli_closure_turtle_in_trig_out(tmp_path, capsys):
+    # a Turtle file is read as TriG into ckr:global; the output is TriG
+    ttl = tmp_path / "x.ttl"
+    ttl.write_text(PREAMBLE + ":a a :A . :A rdfs:subClassOf :B .")
+    out = tmp_path / "y.ttl"
+    assert main(["closure", str(ttl), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["inferredQuads"] == 1
+    asserted = load_path(str(ttl))
+    assert asserted.graph_names() == [GLOBAL_GRAPH]
+    closed = compute_closure(
+        assemble_repository(asserted), instantiate_ruleset("ckr-owl-local")
+    ).closed_dataset()
+    assert load_path(str(out)) == closed
+    assert out.read_bytes() == write_dataset(closed)
 
 
 def test_cli_closure_report_file(ts2_file, tmp_path, capsys):

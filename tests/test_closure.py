@@ -22,7 +22,7 @@ from ckrbench.generator import (
 )
 from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
-from ckrbench.model.encoding import encode_axiom, parse_axioms, skolem_minter
+from ckrbench.model.encoding import parse_axioms
 from ckrbench.model.repository import assemble_repository
 from ckrbench.namespaces import (
     CTX_CLASS,
@@ -396,22 +396,6 @@ def test_quad_level_counts_are_consistent():
     assert len(result.facts) == result.asserted_fact_count + result.inferred_fact_count
 
 
-@pytest.mark.parametrize(
-    "fact",
-    [
-        (cal.INST, gen("a0"), gen("A0"), gen("c0")),
-        (cal.TRIPLE, gen("a0"), gen("R0"), gen("a1"), gen("c0")),
-        (cal.EQ, gen("a0"), gen("a1"), GLOBAL_GRAPH),
-    ],
-    ids=lambda f: f[0],
-)
-def test_fact_fast_paths_match_the_encoder(fact):
-    # materialize writes these relations without the encoder; they must stay
-    # the triples that encode_axiom gives their axioms
-    expected = encode_axiom(cal.fact_to_axiom(fact), skolem_minter("unused"))
-    assert _fact_triples(fact) == expected
-
-
 def test_fact_view_match():
     d = trig(
         "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . :a0 a :A1 . } "
@@ -612,6 +596,8 @@ def materialize_inputs():
 
 @pytest.mark.parametrize("regime_id", REGIME_IDS)
 def test_materialize_fast_paths_equal_the_generic_path(regime_id):
+    """Materialize's term-id fast path for inst, triple and eq facts writes
+    the quads that the axiom encoder gives those facts."""
     for name, dataset in materialize_inputs():
         repo = assemble_repository(dataset)
         result = compute_closure(repo, instantiate_ruleset(regime_id))

@@ -96,8 +96,8 @@ def test_graph_names_and_sizes():
     d.add(q("s", "p", "o", "g1"))
     d.declare_graph(gen("empty"))
     assert gen("empty") in d.graph_names()
-    assert d.graph_size(gen("g1")) == 1
-    assert d.graph_size(gen("empty")) == 0
+    assert len(d.graph(gen("g1"))) == 1
+    assert len(d.graph(gen("empty"))) == 0
     assert d.has_graph(gen("empty"))
 
 
@@ -115,17 +115,17 @@ def test_copy_is_independent_and_keeps_declared_graphs():
     copy = source.copy()
     assert copy == source
     assert copy.graph_names() == source.graph_names()
-    assert copy.has_graph(gen("empty")) and copy.graph_size(gen("empty")) == 0
+    assert copy.has_graph(gen("empty")) and len(copy.graph(gen("empty"))) == 0
     assert set(copy.graph(g)) == set(source.graph(g))
 
-    before = (len(source), source.graph(g), source.graph_size(g))
+    before = (len(source), source.graph(g), len(source.graph(g)))
     assert copy.add(q("new-s", "p", "o", "g1"))
-    assert (len(source), source.graph(g), source.graph_size(g)) == before
-    assert len(copy) == before[0] + 1 and copy.graph_size(g) == before[2] + 1
+    assert (len(source), source.graph(g), len(source.graph(g))) == before
+    assert len(copy) == before[0] + 1 and len(copy.graph(g)) == before[2] + 1
 
-    after = (len(copy), copy.graph(g), copy.graph_size(g))
+    after = (len(copy), copy.graph(g), len(copy.graph(g)))
     assert source.add(q("other-s", "p", "o", "g1"))
-    assert (len(copy), copy.graph(g), copy.graph_size(g)) == after
+    assert (len(copy), copy.graph(g), len(copy.graph(g))) == after
     source.declare_graph(gen("later"))
     assert not copy.has_graph(gen("later"))
 

@@ -1,14 +1,14 @@
-"""TriG/Turtle reading, writing and the round-trip contract."""
+"""TriG reading, writing and the round-trip contract."""
 import hashlib
 import random
 
 import pytest
 
-from ckrbench.errors import ParseError, SerializationError
+from ckrbench.errors import ParseError
 from ckrbench.namespaces import GLOBAL_GRAPH, XSD_INTEGER
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import blank, iri, literal
-from ckrbench.rdf.trig import load_dataset, write_dataset
+from ckrbench.rdf.trig import load_dataset, load_path, write_dataset, write_path
 from util import PREAMBLE, gen, random_dataset, trig
 
 
@@ -33,9 +33,9 @@ def test_default_graph_is_global():
 
 def test_graph_keyword_and_empty_graph():
     d = trig("GRAPH :m1 { :a :p :b . } :m2 { }")
-    assert d.graph_size(gen("m1")) == 1
+    assert len(d.graph(gen("m1"))) == 1
     assert d.has_graph(gen("m2"))
-    assert d.graph_size(gen("m2")) == 0
+    assert len(d.graph(gen("m2"))) == 0
 
 
 def test_object_and_predicate_lists():
@@ -155,27 +155,19 @@ def test_blank_node_shared_with_inference_graph_allowed():
     assert len(load_dataset(doc)) == 2
 
 
-def test_turtle_mode_rejects_graph_blocks():
-    with pytest.raises(ParseError):
-        load_dataset(PREAMBLE + ":m0 { :a :p :b . }", format="turtle")
+def test_ttl_path_is_read_as_trig(tmp_path):
+    # a Turtle file name does not change the syntax: graph blocks load
+    path = tmp_path / "blocks.ttl"
+    path.write_text(PREAMBLE + ":a :p :b . :m0 { :c :p :d . }")
+    d = load_path(str(path))
+    assert d == trig(":a :p :b . :m0 { :c :p :d . }")
+    assert len(d.graph(GLOBAL_GRAPH)) == 1 and len(d.graph(gen("m0"))) == 1
 
 
 def test_write_empty_dataset_is_header_only():
     out = write_dataset(random_dataset(0, 0)).decode()
     assert "@prefix" in out
     assert len(load_dataset(out)) == 0
-
-
-def test_turtle_single_graph_round_trip():
-    d = trig(":a0 a :A0 . :a0 :R0 :a1 .")
-    text = write_dataset(d, "turtle")
-    assert load_dataset(text, "turtle") == d
-
-
-def test_turtle_rejects_multi_graph():
-    d = trig(":m0 { :a :p :b . } :m1 { :c :p :d . }")
-    with pytest.raises(SerializationError):
-        write_dataset(d, "turtle")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -236,3 +228,16 @@ def test_multi_graph_writing_one_block_per_graph():
     out = write_dataset(d).decode()
     assert ":m0 {" in out and ":m1 {" in out
     assert load_dataset(out) == d
+
+
+def test_failed_write_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "kept.trig"
+    path.write_bytes(b"old bytes")
+
+    def fail(self):
+        raise RuntimeError("serialization failed")
+
+    monkeypatch.setattr("ckrbench.rdf.trig._Writer.trig", fail)
+    with pytest.raises(RuntimeError, match="serialization failed"):
+        write_path(trig(":a :p :b ."), str(path))
+    assert path.read_bytes() == b"old bytes"
