@@ -122,12 +122,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    sidecar = Path(args.out).with_suffix(".params")
+    if sidecar == Path(args.out):
+        raise UsageError(f"--out {args.out} is the path of its own .params sidecar")
     params = GenParams.from_text(decode_utf8(Path(args.params).read_bytes()))
     if args.seed is not None:
         params = dataclasses.replace(params, seed=args.seed)
     dataset = generate_ckr(params)
     write_path(dataset, args.out)
-    sidecar = Path(args.out).with_suffix(".params")
     sidecar.write_text(params.to_text())
     logger.info("wrote %s (%d quads)", args.out, len(dataset))
     return EXIT_OK

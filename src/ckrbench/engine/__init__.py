@@ -1,14 +1,1 @@
 """Deduction rules, regimes and the staged closure engine."""
-
-from ckrbench.engine.closure import ClosureResult, check_entailment, compute_closure
-from ckrbench.engine.rules import REGIME_IDS, Regime, Rule, instantiate_ruleset
-
-__all__ = [
-    "ClosureResult",
-    "REGIME_IDS",
-    "Regime",
-    "Rule",
-    "check_entailment",
-    "compute_closure",
-    "instantiate_ruleset",
-]

@@ -175,11 +175,13 @@ def compute_closure(
 
     def add_facts(translate, axioms, context: Term, *, is_asserted: bool) -> None:
         facts = (f for ax in axioms for f in translate(ax, context))
+        new: dict[str, set[IntFact]] = {}
         for f in budget.ticks(facts):
-            rel, enc = f[0], tuple(map(table.intern, f[1:]))
-            store.add(rel, enc)
+            new.setdefault(f[0], set()).add(tuple(map(table.intern, f[1:])))
+        for rel, encs in new.items():
             if is_asserted:
-                asserted.setdefault(rel, set()).add(enc)
+                asserted.setdefault(rel, set()).update(encs)
+            store.merge(rel, encs - store.facts(rel))
 
     timed_out = False
     contexts: set[Term] = set()

@@ -19,10 +19,11 @@ delta's size for the delta atom and the store's for every other atom, so a
 large delta is probed from a small schema relation instead of being walked
 fact by fact.  Pairs that this choice can never pick get no plan: another
 atom of the delta's relation is never smaller than the delta, and of two
-atoms of one relation the first wins.  The delta atom is probed through a
-per-round delta index that every rule shares and that is dropped at the
-barrier.  A probe whose key binds every position of its atom is a
-membership test on the fact set itself, in the store and in the delta.
+atoms of one relation the first wins.  The round's delta is a fact store of
+its own: its indexes are built on demand, shared by every rule of the round
+and dropped with it at the barrier.  A probe whose key binds every position
+of its atom is a membership test on the fact set itself, in the store and in
+the delta.
 
 Plans and merges run as generated Python.  A plan becomes one function of
 nested loops over plain locals, one per binding slot: it unpacks each fact,
@@ -69,8 +70,8 @@ class FactStore:
 
     __slots__ = ("rels", "_indexes", "_appenders")
 
-    def __init__(self) -> None:
-        self.rels: dict[str, set[IntFact]] = {}
+    def __init__(self, rels: dict[str, set[IntFact]] | None = None) -> None:
+        self.rels: dict[str, set[IntFact]] = {} if rels is None else rels
         self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
         # rel -> its generated appender, bound to its fact set and indexes
         self._appenders: dict[str, Callable[[Iterable[IntFact]], None]] = {}
@@ -84,13 +85,6 @@ class FactStore:
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.rels.values())
-
-    def add(self, relation: str, fact: IntFact) -> bool:
-        bucket = self.rels.get(relation)
-        if bucket is not None and fact in bucket:
-            return False
-        self._appender(relation)((fact,))
-        return True
 
     def merge(self, relation: str, facts: Iterable[IntFact]) -> None:
         """Add and index ``facts``, none of which the store holds yet."""
@@ -114,6 +108,12 @@ class FactStore:
             self._indexes[relation, positions] = index
             self._appenders.pop(relation, None)
         return index
+
+    def probe(self, step: _JoinStep, budget: Budget) -> set[IntFact] | dict:
+        """What ``step`` probes here: the fact set for a full-key step, the
+        index on its key positions otherwise."""
+        relation, positions, full = step
+        return self.facts(relation) if full else self.get_index(relation, positions, budget)
 
 
 def _build_index(
@@ -415,57 +415,24 @@ class Budget:
                 self.left = self.refill()
 
 
-def _step_indexes(
-    plan: _Plan,
-    store: FactStore,
-    delta: dict[str, set[IntFact]],
-    delta_indexes: dict[tuple[str, tuple[int, ...]], dict],
-    budget: Budget,
-) -> list:
-    """What each step of ``plan`` probes: the round's delta for the delta
-    step, the store for the others; a full-key step probes the fact set."""
-    indexes = []
-    for k, (rel, positions, full) in enumerate(plan.steps):
-        if k != plan.delta_step:
-            if full:
-                index = store.facts(rel)
-            else:
-                index = store.get_index(rel, positions, budget)
-        elif full:
-            index = delta[rel]
-        else:
-            index = delta_indexes.get((rel, positions))
-            if index is None:
-                index = _build_index(delta[rel], positions, budget)
-                delta_indexes[rel, positions] = index
-        indexes.append(index)
-    return indexes
-
-
 def run_fixpoint(
     store: FactStore,
     rules: list[CompiledRule],
     budget: Budget | None = None,
-) -> int:
-    """Saturate the store under the rules; returns the number of new facts.
-    Raises ``BudgetExceeded`` when the budget runs out; the store then holds
-    every fact merged so far."""
+) -> None:
+    """Saturate the store under the rules.  Raises ``BudgetExceeded`` when
+    the budget runs out; the store then holds every fact merged so far."""
     if budget is None:
         budget = Budget()
-    delta: dict[str, set[IntFact]] = {
-        rel: set(facts) for rel, facts in store.rels.items() if facts
-    }
-    added_total = 0
+    delta = FactStore({rel: set(facts) for rel, facts in store.rels.items() if facts})
     rounds = 0
-    while delta:
+    while delta.rels:
         budget.check()
         rounds += 1
         out: dict[str, set[IntFact]] = {}
-        # Per-round delta indexes, shared by every rule of the round.
-        delta_indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
         driven = seeded = 0
         # Relations with no facts older than their delta.
-        all_new = {rel for rel, facts in delta.items() if len(facts) == store.size(rel)}
+        all_new = {rel for rel, facts in delta.rels.items() if len(facts) == store.size(rel)}
         for rule in rules:
             body = rule.body_relations
             # A rule cannot fire while any of its body relations is empty.
@@ -474,7 +441,7 @@ def run_fixpoint(
             existing = store.facts(rule.head_relation)
             bucket = out.setdefault(rule.head_relation, set())
             for i, rel in enumerate(body):
-                seed_facts = delta.get(rel)
+                seed_facts = delta.rels.get(rel)
                 if not seed_facts:
                     continue
                 choices = rule.plans[i]
@@ -488,7 +455,10 @@ def run_fixpoint(
                 else:
                     driven += 1
                     seed_facts = store.facts(body[driver])
-                indexes = _step_indexes(plan, store, delta, delta_indexes, budget)
+                indexes = [
+                    (delta if k == plan.delta_step else store).probe(step, budget)
+                    for k, step in enumerate(plan.steps)
+                ]
                 join = _generated(_JOINS, _join_source, plan.shape)
                 join(seed_facts, indexes, rule.constants, existing, bucket, budget)
                 if rel in all_new:
@@ -499,14 +469,12 @@ def run_fixpoint(
             logger.debug(
                 "round %d: delta %s; %d driver firings, %d delta-seeded",
                 rounds,
-                {rel: len(facts) for rel, facts in sorted(delta.items())},
+                {rel: len(facts) for rel, facts in sorted(delta.rels.items())},
                 driven,
                 seeded,
             )
         # Every head was checked against the store, which the round leaves
         # unchanged until here: each bucket holds new facts only.
-        delta = {rel: facts for rel, facts in out.items() if facts}
-        for rel, facts in delta.items():
+        delta = FactStore({rel: facts for rel, facts in out.items() if facts})
+        for rel, facts in delta.rels.items():
             store.merge(rel, budget.ticks(facts))
-            added_total += len(facts)
-    return added_total

@@ -214,14 +214,6 @@ def loc_rules() -> tuple[Rule, ...]:
     )
 
 
-REGIME_IDS = (
-    "ckr-rdfs-global",
-    "ckr-rdfs-local",
-    "ckr-owl-global",
-    "ckr-owl-local",
-)
-
-
 @dataclass(frozen=True)
 class Regime:
     """Which rules run at which stage of the closure."""
@@ -231,13 +223,21 @@ class Regime:
     local_rules: tuple[Rule, ...] | None  # None: no local reasoning stage
 
 
+_REGIMES = {
+    r.id: r
+    for r in (
+        Regime("ckr-rdfs-global", subsumption_rules(), None),
+        Regime("ckr-rdfs-local", subsumption_rules(), subsumption_rules()),
+        Regime("ckr-owl-global", rl_rules(), None),
+        Regime("ckr-owl-local", rl_rules(), rl_rules() + loc_rules()),
+    )
+}
+
+REGIME_IDS = tuple(_REGIMES)
+
+
 def instantiate_ruleset(regime_id: str) -> Regime:
-    if regime_id == "ckr-rdfs-global":
-        return Regime(regime_id, subsumption_rules(), None)
-    if regime_id == "ckr-owl-global":
-        return Regime(regime_id, rl_rules(), None)
-    if regime_id == "ckr-rdfs-local":
-        return Regime(regime_id, subsumption_rules(), subsumption_rules())
-    if regime_id == "ckr-owl-local":
-        return Regime(regime_id, rl_rules(), rl_rules() + loc_rules())
-    raise ValueError(f"unknown regime id: {regime_id!r} (choose from {REGIME_IDS})")
+    regime = _REGIMES.get(regime_id)
+    if regime is None:
+        raise ValueError(f"unknown regime id: {regime_id!r} (choose from {REGIME_IDS})")
+    return regime

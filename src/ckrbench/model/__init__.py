@@ -1,20 +1,1 @@
 """Repository data model: normal-form axioms, RDF encoding, assembly."""
-
-from ckrbench.model.axioms import Axiom, axiom
-from ckrbench.model.encoding import encode_axiom, encode_axioms, parse_axioms
-from ckrbench.model.repository import (
-    CkrRepository,
-    KnowledgeModule,
-    assemble_repository,
-)
-
-__all__ = [
-    "Axiom",
-    "CkrRepository",
-    "KnowledgeModule",
-    "assemble_repository",
-    "axiom",
-    "encode_axiom",
-    "encode_axioms",
-    "parse_axioms",
-]

@@ -98,6 +98,3 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return len(self) == len(other) and all(q in other for q in self)
-
-    def __hash__(self) -> int:  # pragma: no cover - datasets are not hashed
-        raise TypeError("Dataset is unhashable")

@@ -162,7 +162,12 @@ class _Parser:
         def repl(m: re.Match) -> str:
             esc = m.group(1)
             if esc[0] in "uU":
-                return chr(int(esc[1:], 16))
+                code = int(esc[1:], 16)
+                # a code point that UTF-8 cannot encode: beyond U+10FFFF or
+                # a surrogate
+                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    raise self._fail(f"invalid code point escape \\{esc}", tok)
+                return chr(code)
             try:
                 return _STRING_ESCAPES[esc]
             except KeyError:

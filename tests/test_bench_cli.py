@@ -229,6 +229,17 @@ def test_cli_closure_parse_failure(tmp_path):
     assert main(["closure", str(bad)]) == 2
 
 
+def test_cli_closure_bad_code_point_escape_is_a_parse_error(tmp_path, caplog):
+    # a surrogate cannot be written as UTF-8: the input fails to parse
+    # instead of closing and then failing to write
+    path = tmp_path / "surrogate.trig"
+    path.write_text(PREAMBLE + ':m0 { :a :p "\\uD800" . }\n')
+    out = tmp_path / "out.trig"
+    assert main(["closure", str(path), "--out", str(out)]) == 2
+    assert "invalid code point escape \\uD800 (line 7, column 13)" in caplog.text
+    assert not out.exists()
+
+
 def test_cli_closure_blank_context_is_an_error(tmp_path):
     path = tmp_path / "blank-context.trig"
     path.write_text(
@@ -239,6 +250,19 @@ def test_cli_closure_blank_context_is_an_error(tmp_path):
         ":m0 { :a a :A . :A rdfs:subClassOf :B . }\n"
     )
     assert main(["closure", str(path), "--out", str(tmp_path / "out.trig")]) == 2
+    assert not (tmp_path / "out.trig").exists()
+
+
+def test_cli_closure_derived_link_to_an_absent_graph_is_an_error(tmp_path, caplog):
+    # :link is a subproperty of ckr:mod, so the global closure links :c0 to
+    # :nowhere, which names no graph of the dataset
+    path = tmp_path / "absent-module.trig"
+    path.write_text(
+        PREAMBLE
+        + "ckr:global { :c0 a ckr:Ctx ; :link :nowhere . :link rdfs:subPropertyOf ckr:mod . }\n"
+    )
+    assert main(["closure", str(path), "--out", str(tmp_path / "out.trig")]) == 2
+    assert "references a graph absent from the dataset" in caplog.text
     assert not (tmp_path / "out.trig").exists()
 
 
@@ -263,6 +287,20 @@ def test_cli_check_asserted_and_propagated(ts2_file, capsys):
     )
     outputs = capsys.readouterr().out.splitlines()
     assert outputs == ["entailed", "entailed", "not entailed"]
+
+
+def test_cli_check_role_assertion_and_iri_terms(tmp_path, capsys):
+    path = tmp_path / "roles.trig"
+    path.write_text(
+        PREAMBLE
+        + "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . }\n"
+        + ":m0 { :a :R :b . :R rdfs:subPropertyOf :S . }\n"
+    )
+    ns = "http://example.org/ckr/gen#"
+    assert main(["check", str(path), ":c0", ":a", ":S", ":b"]) == 0
+    assert main(["check", str(path), ":c0", ":b", ":S", ":a"]) == 1
+    assert main(["check", str(path), f"<{ns}c0>", f"<{ns}a>", f"<{ns}S>", f"<{ns}b>"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["entailed", "not entailed", "entailed"]
 
 
 def test_cli_check_unknown_context_is_usage_error(ts2_file):
@@ -295,6 +333,19 @@ def test_cli_generate_deterministic(tmp_path):
     out3 = tmp_path / "three.trig"
     assert main(["generate", str(params_file), "--seed", "4", "--out", str(out3)]) == 0
     assert out3.read_bytes() != out1.read_bytes()
+
+
+def test_cli_generate_out_that_is_its_own_sidecar_is_usage_error(tmp_path, caplog):
+    params_file = tmp_path / "conf.params"
+    params_file.write_text(GenParams(2, 10, 10, 20, 10, 5, 20, 10, 5, 20).to_text())
+    before = params_file.read_bytes()
+    out = tmp_path / "x.params"
+    assert main(["generate", str(params_file), "--out", str(out)]) == 2
+    assert "own .params sidecar" in caplog.text
+    assert not out.exists()
+    # --out equal to the params file leaves the input as it was
+    assert main(["generate", str(params_file), "--out", str(params_file)]) == 2
+    assert params_file.read_bytes() == before
 
 
 def test_cli_gen_suite_ts1_file_count(tmp_path, monkeypatch):
@@ -357,6 +408,14 @@ def test_cli_bench_parallel_is_a_usage_error(ts2_dir, tmp_path):
         main(["bench", str(ts2_dir), "--csv", str(tmp_path / "b.csv"),
               "--parallel", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_bench_directory_without_trig_files_is_an_error(tmp_path, caplog):
+    (tmp_path / "notes.txt").write_text("no datasets here")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(tmp_path), "--csv", str(out)]) == 2
+    assert "no .trig files under" in caplog.text
+    assert not out.exists()
 
 
 def test_cli_default_regime_ignores_the_environment(monkeypatch, ts2_file):

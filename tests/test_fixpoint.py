@@ -25,12 +25,20 @@ G = GLOBAL_GRAPH
 RULES = {r.name: r for r in rl_rules() + loc_rules()}
 
 
+def interned(table, facts):
+    """Term-level facts as a fact set per relation, interned in ``table``."""
+    rels = defaultdict(set)
+    for f in facts:
+        rels[f[0]].add(tuple(table.intern(t) for t in f[1:]))
+    return rels
+
+
 def close(facts, rule_names):
     """Term-level facts in, closed term-level fact set out."""
     table = TermTable()
     store = FactStore()
-    for f in facts:
-        store.add(f[0], tuple(table.intern(t) for t in f[1:]))
+    for rel, encs in interned(table, facts).items():
+        store.merge(rel, encs)
     rules = compile_rules([RULES[n] for n in rule_names], table.intern)
     run_fixpoint(store, rules)
     return {
@@ -296,8 +304,8 @@ def test_budget_stops_a_long_round_barrier(monkeypatch):
     store = SlowStore()
     n = 30_000
     base = [("subClass", A, B, c)] + [("inst", gen(f"x{k}"), A, c) for k in range(n)]
-    for f in base:
-        FactStore.add(store, f[0], tuple(table.intern(t) for t in f[1:]))
+    for rel, encs in interned(table, base).items():
+        FactStore.merge(store, rel, encs)  # seeded past the slow merge
     rules = compile_rules([RULES["sub-class"]], table.intern)
     with pytest.raises(BudgetExceeded):
         run_fixpoint(store, rules, Budget(deadline=10.0))
@@ -338,8 +346,8 @@ def test_generated_joins_are_shared_by_shape(monkeypatch):
         if global_first:
             table.intern(G)
         store = FactStore()
-        for f in base:
-            store.add(f[0], tuple(table.intern(t) for t in f[1:]))
+        for rel, encs in interned(table, base).items():
+            store.merge(rel, encs)
         compiled = compile_rules(rules, table.intern)
         del fired[:]
         run_fixpoint(store, compiled, Budget())

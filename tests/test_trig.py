@@ -125,6 +125,28 @@ def test_grammar_error_message_and_position(body, message, line, column):
     assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
+@pytest.mark.parametrize(
+    "body, escape, column",
+    [
+        (':s :p "a\\U00110000" .', "\\U00110000", 7),
+        (':s :p """a\\U00110000""" .', "\\U00110000", 7),
+        (':s :p :o , "\\uD800" .', "\\uD800", 12),
+        (':s :p "\\udfff" .', "\\udfff", 7),
+    ],
+    ids=["beyond-max", "beyond-max-long-string", "high-surrogate", "low-surrogate"],
+)
+def test_code_point_escape_that_utf8_cannot_encode_fails_to_parse(body, escape, column):
+    with pytest.raises(ParseError) as err:
+        load_dataset(PREAMBLE + body)
+    assert str(err.value) == f"invalid code point escape {escape} (line 7, column {column})"
+
+
+def test_highest_code_point_escape_round_trips():
+    d = trig(':s :p "\\U0010FFFF\\uD7FF\\uE000" .')
+    assert next(iter(d)).o == literal("\U0010ffff\ud7ff\ue000")
+    assert load_dataset(write_dataset(d)) == d
+
+
 def test_fresh_blank_label_avoids_a_label_written_later():
     d = trig(":s :p [ :q :o ] . _:genid0 :r :t .")
     (inner,) = [q for q in d if q.p == gen("q")]
