@@ -1,11 +1,12 @@
 """Staged closure computation over an assembled repository.
 
-Stage "global" saturates the translated global knowledge under the regime's
-global rules.  Stage "assoc" reads the context set and the context-module
-associations out of that closure.  Stage "local" (local regimes only) seeds
-every context with its module knowledge plus the object-level part of the
-global knowledge and runs one joint fixpoint across all contexts, so eval
-chains between contexts resolve no matter how deep they go.
+The regime's rules are compiled once per closure, and every stage runs that
+one program.  Stage "global" saturates the translated global knowledge.
+Stage "assoc" reads the context set and the context-module associations out
+of that closure.  Stage "local" (local regimes only) seeds every context with
+its module knowledge plus the object-level part of the global knowledge and
+runs one joint fixpoint across all contexts, so eval chains between contexts
+resolve no matter how deep they go.
 
 Derived facts are written back as quads into one inference graph per context
 (base graph name + ``-inf``) plus one for the global context; asserted
@@ -24,7 +25,7 @@ import gc
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ckrbench import calculus as cal
@@ -128,15 +129,13 @@ class ClosureResult:
     contexts: set[Term]
     mod_assoc: set[tuple[Term, Term]]
     inconsistent_contexts: set[Term]
-    inference_quads: list[Quad] = field(default_factory=list)
-    timed_out: bool = False
-    ticks: int = 0  # budget ticks taken, reached so far when timed out
-    _source: Dataset | None = None
+    inference_quads: list[Quad]
+    timed_out: bool
+    ticks: int  # budget ticks taken, reached so far when timed out
+    _source: Dataset
 
     def closed_dataset(self) -> Dataset:
         """Asserted input plus all inference graphs."""
-        if self._source is None:
-            raise ValueError("result carries no source dataset")
         out = self._source.copy()
         out.add_quads(self.inference_quads)
         return out
@@ -192,12 +191,13 @@ def compute_closure(
     try:
         with _stage(stage_ms, "global"):
             add_facts(cal.translate_rl, repo.global_axioms, GLOBAL_GRAPH, is_asserted=True)
-            run_fixpoint(store, compile_rules(regime.global_rules, table.intern), budget)
+            program = compile_rules(regime.rules, table.intern)
+            run_fixpoint(store, program, budget)
 
         with _stage(stage_ms, "assoc"):
             contexts, mod_assoc = _read_associations(store, table, repo)
 
-        if regime.local_rules is not None:
+        if regime.local:
             with _stage(stage_ms, "local"):
                 not_iri = [c for c in contexts if c.kind != "iri"]
                 if not_iri:
@@ -210,9 +210,7 @@ def compute_closure(
                     kb = repo.context_kb(c, mod_assoc)
                     add_facts(cal.translate_axiom, kb, c, is_asserted=True)
                     add_facts(cal.translate_rl, propagated, c, is_asserted=False)
-                run_fixpoint(
-                    store, compile_rules(regime.local_rules, table.intern), budget
-                )
+                run_fixpoint(store, program, budget)
 
         with _stage(stage_ms, "materialize"):
             inference_quads, inconsistent = _materialize(
@@ -228,7 +226,7 @@ def compute_closure(
         # the rels only: the store's join indexes are freed on return
         facts=FactView(store.rels, table),
         asserted_fact_count=asserted_facts,
-        inferred_fact_count=max(total_facts - asserted_facts, 0),
+        inferred_fact_count=total_facts - asserted_facts,
         asserted_quad_count=len(repo.dataset),
         inferred_quad_count=len(inference_quads),
         per_stage_ms=stage_ms,

@@ -19,11 +19,12 @@ delta's size for the delta atom and the store's for every other atom, so a
 large delta is probed from a small schema relation instead of being walked
 fact by fact.  Pairs that this choice can never pick get no plan: another
 atom of the delta's relation is never smaller than the delta, and of two
-atoms of one relation the first wins.  The round's delta is a fact store of
-its own: its indexes are built on demand, shared by every rule of the round
-and dropped with it at the barrier.  A probe whose key binds every position
-of its atom is a membership test on the fact set itself, in the store and in
-the delta.
+atoms of one relation the first wins.  Round 1 takes every stored fact as
+new, so its delta is the store itself.  Each later round's delta is a fact
+store of its own: its indexes are built on demand, shared by every rule of
+the round and dropped with it at the barrier.  A probe whose key binds every
+position of its atom is a membership test on the fact set itself, in the
+store and in the delta.
 
 Plans and merges run as generated Python.  A plan becomes one function of
 nested loops over plain locals, one per binding slot: it unpacks each fact,
@@ -415,18 +416,14 @@ class Budget:
                 self.left = self.refill()
 
 
-def run_fixpoint(
-    store: FactStore,
-    rules: list[CompiledRule],
-    budget: Budget | None = None,
-) -> None:
+def run_fixpoint(store: FactStore, rules: list[CompiledRule], budget: Budget) -> None:
     """Saturate the store under the rules.  Raises ``BudgetExceeded`` when
     the budget runs out; the store then holds every fact merged so far."""
-    if budget is None:
-        budget = Budget()
-    delta = FactStore({rel: set(facts) for rel, facts in store.rels.items() if facts})
+    # The store does not change before the round barrier, so it can serve
+    # as round 1's delta.
+    delta = store
     rounds = 0
-    while delta.rels:
+    while any(delta.rels.values()):
         budget.check()
         rounds += 1
         out: dict[str, set[IntFact]] = {}
@@ -469,7 +466,7 @@ def run_fixpoint(
             logger.debug(
                 "round %d: delta %s; %d driver firings, %d delta-seeded",
                 rounds,
-                {rel: len(facts) for rel, facts in sorted(delta.rels.items())},
+                {rel: len(facts) for rel, facts in sorted(delta.rels.items()) if facts},
                 driven,
                 seeded,
             )

@@ -350,8 +350,6 @@ def _decode_negative_assertions(view: _GraphView, axioms, err) -> None:
 
 def _decode_subsumptions(view, axioms, warn, err) -> None:
     for q in list(view.by_p.get(RDFS_SUBCLASSOF, ())):
-        if q in view.consumed:
-            continue
         sub, sup = q.s, q.o
         if _atomic(sub) and _atomic(sup):
             axioms[axiom(SUB_CLASS, sub, sup)] = None
@@ -398,8 +396,6 @@ def _decode_subsumptions(view, axioms, warn, err) -> None:
         warn(f"unsupported class inclusion {sub!r} -> {sup!r}")
 
     for q in list(view.by_p.get(RDFS_SUBPROPERTYOF, ())):
-        if q in view.consumed:
-            continue
         sub, sup = q.s, q.o
         if _atomic(sub) and _atomic(sup):
             axioms[axiom(SUB_ROLE, sub, sup)] = None

@@ -51,10 +51,14 @@ _PN_LOCAL = (
     r"(?:(?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*(?:[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2}))?"
 )
 
+# An IRI character other than an escape; escapes are UCHARs only, and the
+# IRI checks judge the unescaped text.
+_IRI_CHAR = r"""[^<>"{}|^`\\\x00-\x20]"""
+
 _TOKEN = re.compile(
     r"""
       (?P<WS>[ \t\r\n]+|\#[^\n]*)
-    | (?P<IRIREF><[^<>"{}|^`\\\x00-\x20]*>)
+    | (?P<IRIREF><IRI_CHAR*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})IRI_CHAR*)*>)
     | (?P<STRING_LONG>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*''')
     | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
     | (?P<BLANK>_:BLANK_LABEL)
@@ -67,9 +71,9 @@ _TOKEN = re.compile(
     | (?P<KEYWORD>[A-Za-z]+)
     | (?P<HATHAT>\^\^)
     | (?P<PUNCT>[.;,\[\](){}])
-    """.replace(
-        "PN_LOCAL", _PN_LOCAL
-    ).replace("BLANK_LABEL", BLANK_LABEL.pattern),
+    """.replace("PN_LOCAL", _PN_LOCAL)
+    .replace("BLANK_LABEL", BLANK_LABEL.pattern)
+    .replace("IRI_CHAR", _IRI_CHAR),
     re.VERBOSE,
 )
 
@@ -253,7 +257,8 @@ class _Parser:
                 self._next()
             if self.tok[1] != ";":
                 return
-            self._next()
+            while self.tok[1] == ";":
+                self._next()
             # allow trailing ';' before '.', '}' or ']'
             if self.tok[1] in (".", "}", "]"):
                 return

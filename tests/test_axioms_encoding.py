@@ -275,3 +275,48 @@ def test_encode_into_named_graph_counts():
     added = encode_axioms(d, G, [axiom(ax.SUB_CLASS, A0, A1)], BlankMinter())
     assert added == 1
     assert Quad(A0, gen("x"), A1, G) not in d
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("[ owl:intersectionOf :A0 ] rdfs:subClassOf :A2 .", "broken owl:intersectionOf list"),
+        (
+            "[ ckr:evalOf :D0 ; ckr:evalIn [ owl:oneOf ( :c1 :c2 ) ] ] rdfs:subClassOf :D1 .",
+            "eval nominal must enumerate exactly one context",
+        ),
+    ],
+    ids=["broken-intersection-list", "two-context-nominal"],
+)
+def test_malformed_class_expression_is_an_error(body, message):
+    with pytest.raises(EncodingError, match=message):
+        parse_axioms(trig(f":m0 {{ {body} }}"), G)
+
+
+@pytest.mark.parametrize(
+    "body, first, dangling",
+    [
+        (
+            "[ owl:intersectionOf ( :A0 :A1 :A2 ) ] rdfs:subClassOf :A3 .",
+            "intersection at _:genid0 is not a binary normal form",
+            {"first", "rest", "intersectionOf"},
+        ),
+        (
+            ":R2 owl:propertyChainAxiom :R0 .",
+            f"broken owl:propertyChainAxiom list at {gen('R2')!r}",
+            set(),
+        ),
+        (
+            "[ a owl:Restriction ; owl:onProperty :R0 ; owl:hasValue :a0 ] .",
+            "dangling restriction node _:genid0",
+            {"onProperty", "hasValue"},
+        ),
+    ],
+    ids=["three-item-intersection", "broken-chain-list", "unlinked-restriction"],
+)
+def test_unsupported_encoding_warns_and_is_inert(body, first, dangling):
+    warnings: list[str] = []
+    assert parse_axioms(trig(f":m0 {{ {body} }}"), G, warnings) == set()
+    assert warnings[0] == first
+    assert {w.split()[1] for w in warnings[1:]} == dangling
+    assert all(w.startswith("dangling ") for w in warnings[1:])

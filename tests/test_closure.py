@@ -65,10 +65,10 @@ def test_regime_stages():
         "ckr-owl-local": ["global", "assoc", "local", "materialize"],
     }
     rdfs_local = instantiate_ruleset("ckr-rdfs-local")
-    assert {r.name for r in rdfs_local.local_rules} == {"sub-class", "sub-role"}
-    owl_local_names = {r.name for r in OWL_LOCAL.local_rules}
+    assert {r.name for r in rdfs_local.rules} == {"sub-class", "sub-role"}
+    owl_local_names = {r.name for r in OWL_LOCAL.rules}
     assert {"eval-class", "eval-role"} <= owl_local_names
-    assert {r.name for r in instantiate_ruleset("ckr-owl-global").global_rules} == (
+    assert {r.name for r in instantiate_ruleset("ckr-owl-global").rules} == (
         owl_local_names - {"eval-class", "eval-role"}
     )
     with pytest.raises(ValueError, match="unknown regime"):
@@ -559,7 +559,7 @@ def generic_inference_quads(repo, result):
     ``is_valid_quad``: the asserted facts and the unsat facts whose inst
     twin is derived write nothing."""
     asserted = {f for a in repo.global_axioms for f in cal.translate_rl(a, G)}
-    if instantiate_ruleset(result.regime_id).local_rules is not None:
+    if instantiate_ruleset(result.regime_id).local:
         for c in result.contexts:
             for a in repo.context_kb(c, result.mod_assoc):
                 asserted.update(cal.translate_axiom(a, c))

@@ -15,14 +15,14 @@ import pytest
 from ckrbench.engine import fixpoint
 from ckrbench.engine.fixpoint import Budget, FactStore, compile_rules, run_fixpoint
 from ckrbench.errors import BudgetExceeded
-from ckrbench.engine.rules import loc_rules, rl_rules, subsumption_rules
+from ckrbench.engine.rules import EVAL_RULES, RL_RULES, SUBSUMPTION_RULES
 from ckrbench.namespaces import GLOBAL_GRAPH
 from ckrbench.rdf.terms import TermTable
 from oracle import _saturate
 from util import gen
 
 G = GLOBAL_GRAPH
-RULES = {r.name: r for r in rl_rules() + loc_rules()}
+RULES = {r.name: r for r in RL_RULES + EVAL_RULES}
 
 
 def interned(table, facts):
@@ -40,7 +40,7 @@ def close(facts, rule_names):
     for rel, encs in interned(table, facts).items():
         store.merge(rel, encs)
     rules = compile_rules([RULES[n] for n in rule_names], table.intern)
-    run_fixpoint(store, rules)
+    run_fixpoint(store, rules, Budget())
     return {
         (rel, *(table.term(i) for i in enc))
         for rel, bucket in store.rels.items()
@@ -380,4 +380,4 @@ def test_range_restriction_enforced():
 
 
 def test_rdfs_subset_is_two_rules():
-    assert {r.name for r in subsumption_rules()} == {"sub-class", "sub-role"}
+    assert {r.name for r in SUBSUMPTION_RULES} == {"sub-class", "sub-role"}

@@ -116,8 +116,21 @@ def test_syntax_error_position_is_exact(body, line, column):
         ("_:b { :s :p :o . }", "expected predicate, found '{'", 7, 5),
         # a SPARQL-style prefix name is checked like an @prefix one
         ("PREFIX ex:a <http://x.test/>\nex:s ex:p ex:o .", "malformed prefix declaration", 7, 8),
+        (':s :p "\\q" .', "invalid escape sequence \\q", 7, 7),
+        # an IRI escape must name a character that an IRI may hold, and an
+        # IRI takes no escape but \u and \U
+        (":s :p <http://x.test/a\\u0020> .", "invalid IRI <http://x.test/a >", 7, 7),
+        (":s :p <http://x.test/a\\n> .", "unexpected character '<'", 7, 7),
     ],
-    ids=["document-order", "literal-subject", "blank-graph-name", "sparql-prefix-name"],
+    ids=[
+        "document-order",
+        "literal-subject",
+        "blank-graph-name",
+        "sparql-prefix-name",
+        "invalid-string-escape",
+        "iri-escape-to-space",
+        "iri-character-escape",
+    ],
 )
 def test_grammar_error_message_and_position(body, message, line, column):
     with pytest.raises(ParseError) as err:
@@ -145,6 +158,44 @@ def test_highest_code_point_escape_round_trips():
     d = trig(':s :p "\\U0010FFFF\\uD7FF\\uE000" .')
     assert next(iter(d)).o == literal("\U0010ffff\ud7ff\ue000")
     assert load_dataset(write_dataset(d)) == d
+
+
+@pytest.mark.parametrize("escape", ["\\u0041", "\\U00000041"])
+def test_iri_code_point_escape_reads_as_its_character(escape):
+    d = trig(f":s :p <http://x.test/a{escape}> .")
+    assert next(iter(d)).o == iri("http://x.test/aA")
+    assert load_dataset(write_dataset(d)) == d
+
+
+@pytest.mark.parametrize(
+    "repeated, single, count",
+    [
+        (':m0 { :a :p "x" ;; :q :r ; ; }', ':m0 { :a :p "x" ; :q :r }', 2),
+        (":a :p [ :q :r ;; :s :t ;; ] .", ":a :p [ :q :r ; :s :t ] .", 3),
+    ],
+    ids=["graph-block", "blank-node-property-list"],
+)
+def test_repeated_semicolons_read_as_one(repeated, single, count):
+    d = trig(repeated)
+    assert d == trig(single) and len(d) == count
+
+
+def test_relative_iris_resolve_against_the_latest_base():
+    d = load_dataset(
+        "@base <http://x.test/dir/> .\n<a> <p> <../b> .\n"
+        "BASE <http://y.test/>\n<c> <p> <d> ."
+    )
+    x, y = "http://x.test/", "http://y.test/"
+    assert set(d) == {
+        Quad(iri(x + "dir/a"), iri(x + "dir/p"), iri(x + "b"), GLOBAL_GRAPH),
+        Quad(iri(y + "c"), iri(y + "p"), iri(y + "d"), GLOBAL_GRAPH),
+    }
+
+
+def test_empty_anonymous_nodes_as_objects_are_distinct():
+    d = trig(":s :p [] , [] .")
+    objects = {q.o for q in d}
+    assert len(objects) == 2 and all(o.kind == "blank" for o in objects)
 
 
 def test_fresh_blank_label_avoids_a_label_written_later():
@@ -243,6 +294,14 @@ def test_write_bytes_are_pinned():
     assert hashlib.sha256(out).hexdigest() == (
         "34776f588e35b50b0b538d79d0a4015623aeec1835724dea8309f0cc9ab7c7ed"
     )
+
+
+def test_write_short_forms():
+    # a namespace IRI as a bare prefix name, a boolean as a bare keyword, a
+    # language tag in lower case
+    d = trig(':s :p owl: , true , "tagged"@en-GB .')
+    assert '    :s :p owl:, "tagged"@en-gb, true .' in write_dataset(d).decode().splitlines()
+    assert load_dataset(write_dataset(d)) == d
 
 
 def test_multi_graph_writing_one_block_per_graph():
