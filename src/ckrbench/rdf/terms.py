@@ -16,7 +16,10 @@ _IRI_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
 #: A blank-node label TriG can write after ``_:``: it may not end with '.'.
-BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
+#: A run of dots is taken only when a label character follows it, so the
+#: first match from a position is also the longest; ``fullmatch`` could
+#: backtrack through exponentially many splits of a label that fails late.
+BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_\-]+|\.+(?=[A-Za-z0-9_\-]))*")
 
 
 class Term(NamedTuple):
@@ -66,7 +69,8 @@ def iri(lexical: str) -> Term:
 def blank(label: str) -> Term:
     t = _blank_cache.get(label)
     if t is None:
-        if not BLANK_LABEL.fullmatch(label):
+        m = BLANK_LABEL.match(label)
+        if m is None or m.end() != len(label):
             raise ValueError(f"not a valid blank node label: {label!r}")
         t = Term("blank", label)
         _blank_cache[label] = t

@@ -45,37 +45,49 @@ from ckrbench.rdf.terms import BLANK_LABEL, Term, blank, iri, is_valid_iri, lite
 
 _LANG_MARKER = RDF_NS + "langString@"  # language tag folded into the datatype
 
-# PN_LOCAL must not end with '.', hence the first/mid/last split below.
+# PN_LOCAL must not end with '.': a run of dots is taken only when a name
+# character follows it, so no part of the loop is ever given back.
 _PN_LOCAL = (
     r"(?:[A-Za-z0-9_]|%[0-9A-Fa-f]{2})"
-    r"(?:(?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*(?:[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2}))?"
+    r"(?:[A-Za-z0-9_\-]+|%[0-9A-Fa-f]{2}|\.+(?=[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2}))*"
 )
 
 # An IRI character other than an escape; escapes are UCHARs only, and the
 # IRI checks judge the unescaped text.
 _IRI_CHAR = r"""[^<>"{}|^`\\\x00-\x20]"""
 
+# One match per token: the whitespace and comments before it, then the token
+# in its named group.  A match that holds no token ends the scan, at the end
+# of the document or at a character no token starts with.  The commonest
+# kinds come first; no other kind starts with what PUNCT, BLANK, PNAME or
+# KEYWORD start with, except '.', which starts PUNCT only when no digit
+# follows it.  PNAME must precede KEYWORD.
 _TOKEN = re.compile(
     r"""
-      (?P<WS>[ \t\r\n]+|\#[^\n]*)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+      (?P<PUNCT>\.(?![0-9])|[;,\[\](){}])
+    | (?P<BLANK>_:BLANK_LABEL)
+    | (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:PN_LOCAL)?)
+    | (?P<KEYWORD>[A-Za-z]+)
     | (?P<IRIREF><IRI_CHAR*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})IRI_CHAR*)*>)
     | (?P<STRING_LONG>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*''')
     | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-    | (?P<BLANK>_:BLANK_LABEL)
     | (?P<PREFIX_DIRECTIVE>@prefix\b|@base\b)
     | (?P<LANGTAG>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
     | (?P<DOUBLE>[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+)
     | (?P<DECIMAL>[+-]?[0-9]*\.[0-9]+)
     | (?P<INTEGER>[+-]?[0-9]+)
-    | (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:PN_LOCAL)?)
-    | (?P<KEYWORD>[A-Za-z]+)
     | (?P<HATHAT>\^\^)
-    | (?P<PUNCT>[.;,\[\](){}])
+    )?
     """.replace("PN_LOCAL", _PN_LOCAL)
     .replace("BLANK_LABEL", BLANK_LABEL.pattern)
     .replace("IRI_CHAR", _IRI_CHAR),
     re.VERBOSE,
 )
+
+#: The token kind of each named group's number.
+_KIND = {number: kind for kind, number in _TOKEN.groupindex.items()}
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -108,15 +120,13 @@ def _error_at(text: str, pos: int, message: str) -> ParseError:
 def _tokenize(text: str) -> Iterator[_Lexeme]:
     """The document's tokens without whitespace and comments, then ``EOF``
     for as long as asked; an unexpected character raises when reached."""
-    pos = 0
+    kinds = _KIND
     for m in _TOKEN.finditer(text):
-        start = m.start()
-        if start != pos:
+        group = m.lastindex
+        if group is None:
             break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "WS":
-            yield kind, m.group(), start
+        yield kinds[group], m.group(group), m.start(group)
+    pos = m.end()  # the pattern matches the empty string: some match is last
     if pos < len(text):
         raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
     while True:
@@ -138,13 +148,21 @@ class _Parser:
         self.base: str | None = None
         self.dataset = Dataset()
         self.quads: list[Quad] = []  # inserted in one batch at the end
+        # IRI terms by token text, for IRIREF and PNAME tokens; a directive
+        # changes what a text means, so each one clears the cache.
+        self._iris: dict[str, Term] = {}
         # Blank-node housekeeping: anonymous nodes get labels that avoid every
         # ``_:label`` text of the document, so they cannot take an explicit
-        # label written further on; explicit labels are kept verbatim and may
-        # not span two named graphs.
-        self._explicit_labels = set(_LABEL_TEXT.findall(text))
+        # label written further on.  Those labels are ``genid<n>``, so only a
+        # document that writes ``_:genid`` somewhere needs the scan.
+        self._explicit_labels = (
+            set(_LABEL_TEXT.findall(text)) if "_:genid" in text else set()
+        )
         self._anon_counter = 0
-        self._label_graph: dict[str, Term] = {}
+        # Explicit labels are kept verbatim and may not span two named
+        # graphs: each ``_:label`` text maps to its term and the graph it
+        # was first seen in.
+        self._blanks: dict[str, tuple[Term, Term]] = {}
 
     # -- token helpers ----------------------------------------------------
 
@@ -197,6 +215,7 @@ class _Parser:
     def _directive(self) -> None:
         """``@prefix``/``@base``, closed by '.', or SPARQL ``PREFIX``/``BASE``."""
         keyword = self._next()[1]
+        self._iris.clear()
         if keyword in ("@prefix", "PREFIX"):
             ns = self._expect("PNAME")
             if not ns[1].endswith(":"):
@@ -305,7 +324,7 @@ class _Parser:
 
     def _bnode_property_list(self, open_tok: _Lexeme, graph: Term) -> Term:
         """The node of a ``[ ... ]`` whose ``[`` is ``open_tok``, already read."""
-        node = self._fresh_blank(graph)
+        node = self._fresh_blank()
         if self.tok[1] == "]":
             self._next()
             return node
@@ -322,7 +341,7 @@ class _Parser:
         self._next()
         head: Term = RDF_NIL
         for item in reversed(items):
-            cell = self._fresh_blank(graph)
+            cell = self._fresh_blank()
             self.quads.append(Quad(cell, RDF_FIRST, item, graph))
             self.quads.append(Quad(cell, RDF_REST, head, graph))
             head = cell
@@ -341,42 +360,49 @@ class _Parser:
         return value
 
     def _iri_term(self, tok: _Lexeme) -> Term:
+        term = self._iris.get(tok[1])
+        if term is not None:
+            return term
         if tok[0] == "IRIREF":
-            return iri(self._iri_value(tok))
-        prefix, _, local = tok[1].partition(":")
-        if prefix not in self.prefixes:
-            raise self._fail(f"undefined prefix {prefix + ':'!r}", tok)
-        expanded = self.prefixes[prefix] + local
-        try:
-            return iri(expanded)
-        except ValueError:
-            raise self._fail(f"invalid IRI <{expanded}>", tok) from None
+            term = iri(self._iri_value(tok))
+        else:
+            prefix, _, local = tok[1].partition(":")
+            if prefix not in self.prefixes:
+                raise self._fail(f"undefined prefix {prefix + ':'!r}", tok)
+            expanded = self.prefixes[prefix] + local
+            try:
+                term = iri(expanded)
+            except ValueError:
+                raise self._fail(f"invalid IRI <{expanded}>", tok) from None
+        self._iris[tok[1]] = term
+        return term
 
     def _labelled_blank(self, tok: _Lexeme, graph: Term) -> Term:
-        label = tok[1][2:]
-        seen = self._label_graph.get(label)
+        seen = self._blanks.get(tok[1])
         if seen is None:
-            self._label_graph[label] = graph
-        elif seen != graph:
+            term = blank(tok[1][2:])
+            self._blanks[tok[1]] = (term, graph)
+            return term
+        term, first = seen
+        if first != graph:
             # Modules may not share blank nodes.  Inference graphs are exempt:
             # derived knowledge about a module's blank node legitimately lands
             # in the owning context's inference graph.
             inf = INFERENCE_SUFFIX
-            if not (seen.lexical.endswith(inf) or graph.lexical.endswith(inf)):
+            if not (first.lexical.endswith(inf) or graph.lexical.endswith(inf)):
                 raise self._fail(
-                    f"blank node _:{label} is shared between graphs; "
+                    f"blank node {tok[1]} is shared between graphs; "
                     "modules may not share blank nodes",
                     tok,
                 )
-        return blank(label)
+        return term
 
-    def _fresh_blank(self, graph: Term) -> Term:
+    def _fresh_blank(self) -> Term:
         while True:
             label = f"genid{self._anon_counter}"
             self._anon_counter += 1
             if label not in self._explicit_labels:
                 break
-        self._label_graph[label] = graph
         return blank(label)
 
 
@@ -463,22 +489,42 @@ class _Writer:
         return f'"{body}"^^{self._format_iri(dt)}'
 
     def triple_lines(self, quads: Iterable[Quad]) -> list[str]:
-        # Group by subject, then predicate; Term order throughout.
-        grouped: dict[Term, dict[Term, list[Term]]] = {}
+        """One statement per subject, in ``Term`` order of subject, then
+        predicate, then object.  The quads are grouped by subject; the
+        subjects are sorted once, and so is each subject's group, which one
+        pass then writes, opening a predicate when ``p`` changes.  Sorting a
+        whole graph instead compares objects through the subject and
+        predicate of every quad, which costs most on graphs with few
+        subjects.  Terms are compared by value: equal terms need not be one
+        object."""
+        by_subject: dict[Term, list[Quad]] = {}
         for q in quads:
-            grouped.setdefault(q.s, {}).setdefault(q.p, []).append(q.o)
+            group = by_subject.get(q.s)
+            if group is None:
+                by_subject[q.s] = [q]
+            else:
+                group.append(q)
+        fmt = self.format_term
         lines: list[str] = []
-        for s in sorted(grouped):
-            parts = []
-            for p in sorted(grouped[s]):
-                objects = grouped[s][p]
-                if len(objects) > 1:
-                    objects.sort()
-                objs = ", ".join(map(self.format_term, objects))
-                pred = "a" if p == RDF_TYPE else self.format_term(p)
-                parts.append(f"{pred} {objs}")
-            joined = " ;\n        ".join(parts)
-            lines.append(f"    {self.format_term(s)} {joined} .")
+        for s in sorted(by_subject):
+            group = by_subject[s]
+            if len(group) == 1:  # the common case: no sort, no parts list
+                _, p, o, _ = group[0]
+                pred = "a" if p == RDF_TYPE else fmt(p)
+                lines.append(f"    {fmt(s)} {pred} {fmt(o)} .")
+                continue
+            group.sort()
+            parts = ["    ", fmt(s)]
+            p = None
+            for _, qp, o, _ in group:
+                if qp != p:
+                    p = qp
+                    parts += (" " if len(parts) == 2 else " ;\n        ",
+                              "a" if p == RDF_TYPE else fmt(p), " ", fmt(o))
+                else:
+                    parts += (", ", fmt(o))
+            parts.append(" .")
+            lines.append("".join(parts))
         return lines
 
     def trig(self) -> str:
@@ -490,6 +536,7 @@ class _Writer:
             lines.append("}")
             lines.append("")
         return "\n".join(lines)
+
 
 def write_dataset(dataset: Dataset) -> bytes:
     """Serialize a dataset as TriG; output parses back to an equal dataset."""

@@ -311,6 +311,23 @@ def test_closed_dataset_bytes_are_pinned():
     )
 
 
+def test_propagation_workload_bytes_are_pinned():
+    # The benchmark's headline input and output: the benchmark itself only
+    # checks that a run repeats its first output, so a reader or writer that
+    # changed bytes the same way every time would pass it.
+    data = write_dataset(build_ts2(100, 99, 10))
+    assert hashlib.sha256(data).hexdigest() == (
+        "1275019c79b7b94474d114814f379a36d23efd8c2ec859b35483d600ba51ad84"
+    )
+    result = closure(load_dataset(data))
+    assert result.inferred_quad_count == 99_100
+    out = write_dataset(result.closed_dataset())
+    assert hashlib.sha256(out).hexdigest() == (
+        "070911e0981a256596130327e60fa18cb7e9a8cd0f962138cf76b264080f16f7"
+    )
+    assert write_dataset(load_dataset(out)) == out
+
+
 def test_module_link_derived_through_subproperty():
     # a custom linking property declared under the module property also
     # attaches modules, via the global closure

@@ -23,9 +23,16 @@ def test_invalid_iri_rejected():
 
 
 def test_invalid_blank_label_rejected():
-    for label in ("a b", "", "a."):
+    # the last label fails late, after a long run that a backtracking
+    # pattern could split in exponentially many ways
+    for label in ("a b", "", "a.", ".a", "-a", "a" * 40 + "."):
         with pytest.raises(ValueError):
             blank(label)
+
+
+def test_valid_blank_labels_accepted():
+    for label in ("a", "a.b", "a..b", "a-", "0", "_", "x.-y"):
+        assert blank(label).lexical == label
 
 
 def test_terms_of_all_kinds_sort_without_a_key():
