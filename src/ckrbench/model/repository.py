@@ -7,6 +7,11 @@ context-module associations in its result.
 On reload of a closed dataset, the global inference graph is treated as part
 of the global knowledge, so module links written during materialization are
 honoured and a second closure pass is a no-op.
+
+Modules may not share blank nodes: a blank node may occur in at most one
+graph whose name does not end in ``INFERENCE_SUFFIX`` (``ckr:global`` is such
+a graph too), and in any number of inference graphs.  Assembly checks this
+for every dataset, read from a file or built in memory.
 """
 from __future__ import annotations
 
@@ -16,7 +21,13 @@ from typing import Iterable
 from ckrbench.errors import AssemblyError
 from ckrbench.model.axioms import Axiom
 from ckrbench.model.encoding import parse_axioms
-from ckrbench.namespaces import GLOBAL_GRAPH, MOD_PROPERTY, inference_graph, is_meta_term
+from ckrbench.namespaces import (
+    GLOBAL_GRAPH,
+    INFERENCE_SUFFIX,
+    MOD_PROPERTY,
+    inference_graph,
+    is_meta_term,
+)
 from ckrbench.rdf.dataset import Dataset
 from ckrbench.rdf.terms import Term
 
@@ -62,6 +73,18 @@ class CkrRepository:
 
 
 def assemble_repository(dataset: Dataset) -> CkrRepository:
+    owner: dict[Term, Term] = {}  # blank node -> its one non-inference graph
+    for g in dataset.graph_names():
+        if g.lexical.endswith(INFERENCE_SUFFIX):
+            continue
+        for q in dataset.graph(g):
+            for t in (q.s, q.o):
+                if t.kind == "blank" and owner.setdefault(t, g) != g:
+                    raise AssemblyError(
+                        f"blank node {t!r} is in graphs {owner[t]!r} and {g!r}; "
+                        "modules may not share blank nodes"
+                    )
+
     warnings: list[str] = []
     global_graphs = [GLOBAL_GRAPH]
     global_inf = inference_graph(GLOBAL_GRAPH)

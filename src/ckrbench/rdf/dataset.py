@@ -49,18 +49,15 @@ class Dataset:
     def add_quads(self, qs: Iterable[Quad]) -> int:
         """Insert quads, returning the number of genuinely new ones."""
         graphs = self._graphs
-        added = 0
+        before = len(self)
         for q in qs:
-            quads = graphs.get(q.g)
-            if quads is not None and q in quads:
-                continue
             if not is_valid_quad(q):
                 raise ValueError(f"a dataset cannot hold {q!r}")
+            quads = graphs.get(q.g)
             if quads is None:
                 quads = graphs[q.g] = {}
-            quads[q] = None
-            added += 1
-        return added
+            quads[q] = None  # a quad already present keeps its place
+        return len(self) - before
 
     def declare_graph(self, g: Term) -> None:
         """Record that a (possibly empty) named graph exists."""

@@ -8,7 +8,9 @@ nodes, collections, numeric/boolean literal shorthand, language tags,
 comments.
 
 Not a full W3C implementation; unsupported syntax fails loudly with a line
-and column rather than being guessed at.
+and column rather than being guessed at.  A blank-node label names one node
+in the whole document, as in RDF 1.1 TriG; which graphs may share a node is
+a rule of the repository, not of the syntax.
 
 Triples outside graph blocks land in the reserved default graph (the global
 context name), so a plain Turtle ontology loads as a repository with only
@@ -27,7 +29,6 @@ from typing import Iterable, Iterator
 from ckrbench.errors import ParseError
 from ckrbench.namespaces import (
     GLOBAL_GRAPH,
-    INFERENCE_SUFFIX,
     RDF_FIRST,
     RDF_NIL,
     RDF_NS,
@@ -159,10 +160,6 @@ class _Parser:
             set(_LABEL_TEXT.findall(text)) if "_:genid" in text else set()
         )
         self._anon_counter = 0
-        # Explicit labels are kept verbatim and may not span two named
-        # graphs: each ``_:label`` text maps to its term and the graph it
-        # was first seen in.
-        self._blanks: dict[str, tuple[Term, Term]] = {}
 
     # -- token helpers ----------------------------------------------------
 
@@ -296,7 +293,7 @@ class _Parser:
         if kind in ("IRIREF", "PNAME"):
             return self._iri_term(tok)
         if kind == "BLANK":
-            return self._labelled_blank(tok, graph)
+            return blank(value[2:])
         if value == "[":
             return self._bnode_property_list(tok, graph)
         if value == "(":
@@ -375,26 +372,6 @@ class _Parser:
             except ValueError:
                 raise self._fail(f"invalid IRI <{expanded}>", tok) from None
         self._iris[tok[1]] = term
-        return term
-
-    def _labelled_blank(self, tok: _Lexeme, graph: Term) -> Term:
-        seen = self._blanks.get(tok[1])
-        if seen is None:
-            term = blank(tok[1][2:])
-            self._blanks[tok[1]] = (term, graph)
-            return term
-        term, first = seen
-        if first != graph:
-            # Modules may not share blank nodes.  Inference graphs are exempt:
-            # derived knowledge about a module's blank node legitimately lands
-            # in the owning context's inference graph.
-            inf = INFERENCE_SUFFIX
-            if not (first.lexical.endswith(inf) or graph.lexical.endswith(inf)):
-                raise self._fail(
-                    f"blank node {tok[1]} is shared between graphs; "
-                    "modules may not share blank nodes",
-                    tok,
-                )
         return term
 
     def _fresh_blank(self) -> Term:

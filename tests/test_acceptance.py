@@ -329,3 +329,19 @@ def test_criterion_8_declared_substitution_scalability_contrast():
         f"global subsumption stays near-flat (slope {rdfs_slope:.2f}; "
         f"{rdfs_max:.1f} ms vs {owl_max:.0f} ms at the largest point)"
     )
+
+
+def test_scalability_contrast_in_work():
+    # The deterministic companion of criterion 8: the same sweep and slopes
+    # over the closure's exact tick totals, which do not depend on the
+    # host's speed.
+    sweep = [(1, 6), (2, 8), (5, 10), (10, 12), (20, 14)]
+    ticks: dict[str, list[tuple[int, int]]] = {"ckr-rdfs-global": [], "ckr-owl-local": []}
+    for n, scale in sweep:
+        repo = assemble_repository(generate_ckr(_grid_params(n, scale)))
+        for rid in ticks:
+            ticks[rid].append((n, compute_closure(repo, REGIMES[rid]).ticks))
+    owl_slope = _loglog_slope(ticks["ckr-owl-local"])
+    rdfs_slope = _loglog_slope(ticks["ckr-rdfs-global"])
+    assert owl_slope >= 1.15, f"owl-local tick slope {owl_slope:.3f} not super-linear"
+    assert rdfs_slope <= 0.70, f"rdfs-global tick slope {rdfs_slope:.3f} not near-flat"

@@ -253,6 +253,20 @@ def test_cli_closure_blank_context_is_an_error(tmp_path):
     assert not (tmp_path / "out.trig").exists()
 
 
+def test_cli_closure_blank_node_shared_by_modules_is_an_assembly_error(tmp_path, caplog):
+    # the file loads; assembly rejects the node that :m0 and :m1 share
+    path = tmp_path / "shared-blank.trig"
+    path.write_text(
+        PREAMBLE
+        + "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . :c1 a ckr:Ctx ; ckr:mod :m1 . }\n"
+        + ":m0 { _:x a :A . } :m1 { _:x a :B . }\n"
+    )
+    assert main(["closure", str(path), "--out", str(tmp_path / "out.trig")]) == 2
+    assert "blank node _:x is in graphs" in caplog.text
+    assert "modules may not share blank nodes" in caplog.text
+    assert not (tmp_path / "out.trig").exists()
+
+
 def test_cli_closure_derived_link_to_an_absent_graph_is_an_error(tmp_path, caplog):
     # :link is a subproperty of ckr:mod, so the global closure links :c0 to
     # :nowhere, which names no graph of the dataset

@@ -81,3 +81,27 @@ def test_only_the_writer_sorts():
             assert not (isinstance(func, ast.Attribute) and func.attr == "sort"), (
                 f"{name}:{node.lineno} calls .sort("
             )
+
+
+def test_rdf_layer_knows_no_repository_rule():
+    # rdf/ reads and writes plain RDF: it imports nothing from the layers
+    # above it and does not know which graphs are inference graphs
+    banned = ("ckrbench.model", "ckrbench.engine", "ckrbench.calculus")
+    rdf = Path(__file__).resolve().parent.parent / "src" / "ckrbench" / "rdf"
+    for path in sorted(rdf.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            for module in modules:
+                assert not module.startswith(banned), f"{path.name} imports {module}"
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            assert name != "INFERENCE_SUFFIX", f"{path.name} names {name}"

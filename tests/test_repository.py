@@ -7,8 +7,9 @@ from ckrbench.model import axioms as ax
 from ckrbench.model.axioms import axiom
 from ckrbench.model.encoding import parse_axioms
 from ckrbench.model.repository import assemble_repository, is_meta_axiom
-from ckrbench.namespaces import CTX_CLASS, MOD_PROPERTY, nominal_class
-from ckrbench.rdf.dataset import Dataset
+from ckrbench.namespaces import CTX_CLASS, GLOBAL_GRAPH, MOD_PROPERTY, RDF_TYPE, nominal_class
+from ckrbench.rdf.dataset import Dataset, Quad
+from ckrbench.rdf.terms import blank
 from util import gen, trig
 
 
@@ -133,3 +134,63 @@ def test_context_kb_unions_shared_modules():
     assert repo.context_kb(gen("c1"), mod_assoc) == {
         axiom(ax.CONCEPT_ASSERT, gen("A0"), gen("a0"))
     }
+
+
+# Modules may not share blank nodes: a blank node may occur in at most one
+# graph that is not an inference graph, whatever order the graphs come in.
+
+def _two_contexts(m0_body: str, m1_body: str) -> Dataset:
+    return trig(
+        "ckr:global { :c0 a ckr:Ctx ; ckr:mod :m0 . :c1 a ckr:Ctx ; ckr:mod :m1 . } "
+        f":m0 {{ {m0_body} }} :m1 {{ {m1_body} }}"
+    )
+
+
+def test_in_memory_modules_sharing_a_blank_node_fail():
+    shared = blank("shared")
+    d = _two_contexts(":a a :A .", ":b a :B .")
+    d.add_quads([
+        Quad(shared, RDF_TYPE, gen("A"), gen("m0")),
+        Quad(shared, RDF_TYPE, gen("B"), gen("m1")),
+    ])
+    with pytest.raises(AssemblyError) as err:
+        assemble_repository(d)
+    assert str(err.value) == (
+        f"blank node _:shared is in graphs {gen('m0')!r} and {gen('m1')!r}; "
+        "modules may not share blank nodes"
+    )
+
+
+def test_sharing_after_an_inference_graph_fails_whatever_the_order():
+    # the inference graph comes first and may hold the node; the two
+    # modules after it may not both hold it
+    d = trig(":m0-inf { _:x a :A . } :m0 { _:x a :B . } :m1 { _:x a :C . }")
+    with pytest.raises(AssemblyError, match="modules may not share") as err:
+        assemble_repository(d)
+    assert f"{gen('m0')!r} and {gen('m1')!r}" in str(err.value)
+
+
+def test_sharing_with_the_global_graph_fails():
+    d = _two_contexts(":a :p _:g .", ":b a :B .")
+    d.add_quads(trig("ckr:global { _:g a :G . }"))
+    with pytest.raises(AssemblyError, match="modules may not share") as err:
+        assemble_repository(d)
+    assert f"{GLOBAL_GRAPH!r} and {gen('m0')!r}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        ":m0 { _:x a :A . } :m0-inf { _:x a :B . }",
+        ":m0-inf { _:x a :B . } :m0 { _:x a :A . }",
+        "ckr:global { _:x a :A . } ckr:global-inf { _:x a :B . }",
+        "ckr:global-inf { _:x a :B . } ckr:global { _:x a :A . }",
+        # any number of inference graphs may hold it too
+        ":m0 { _:x a :A . } :c0-inf { _:x a :B . } :c1-inf { _:x a :C . }",
+    ],
+    ids=["module-first", "inference-first", "global", "global-inference-first",
+         "two-inference-graphs"],
+)
+def test_a_blank_node_in_one_graph_and_inference_graphs_assembles(body):
+    d = trig(body)
+    assert assemble_repository(d).dataset is d

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ckrbench.errors import ParseError
+from ckrbench.errors import AssemblyError, ParseError
+from ckrbench.model.repository import assemble_repository
 from ckrbench.namespaces import GLOBAL_GRAPH, XSD_INTEGER
 from ckrbench.rdf.dataset import Dataset, Quad
 from ckrbench.rdf.terms import blank, iri, literal
@@ -217,10 +218,14 @@ def test_invalid_iri():
         load_dataset("<relative> <http://x.test/p> <http://x.test/o> .")
 
 
-def test_blank_node_shared_between_modules_rejected():
+def test_blank_node_shared_between_modules_loads_and_fails_assembly():
+    # TriG scopes a blank label to the whole document; that modules may not
+    # share blank nodes is a rule of the repository, checked in assembly
     doc = PREAMBLE + ":m0 { _:x a :A0 . } :m1 { _:x a :A1 . }"
-    with pytest.raises(ParseError, match="shared between graphs"):
-        load_dataset(doc)
+    d = load_dataset(doc)
+    assert {q.s for q in d} == {blank("x")}
+    with pytest.raises(AssemblyError, match="modules may not share blank nodes"):
+        assemble_repository(d)
 
 
 def test_blank_node_shared_with_inference_graph_allowed():
@@ -255,6 +260,16 @@ def test_round_trip_with_blank_nodes():
     assert len(again) == len(d)
     # safe labels are preserved verbatim
     assert Quad(blank("b0"), gen("p"), gen("o"), gen("m0")) in again
+
+
+def test_round_trip_with_a_blank_node_shared_between_graphs():
+    shared = blank("shared")
+    d = random_dataset(4, 200)
+    d.add_quads([
+        Quad(shared, gen("p"), gen("o"), gen("m0")),
+        Quad(gen("s"), gen("p"), shared, gen("m1")),
+    ])
+    assert load_dataset(write_dataset(d)) == d
 
 
 def test_dotted_and_dashed_blank_labels_round_trip_verbatim():

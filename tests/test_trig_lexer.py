@@ -2,7 +2,8 @@
 on how its terms were made."""
 import pytest
 
-from ckrbench.errors import ParseError
+from ckrbench.errors import AssemblyError, ParseError
+from ckrbench.model.repository import assemble_repository
 from ckrbench.namespaces import (
     GLOBAL_GRAPH,
     RDF_NS,
@@ -103,13 +104,22 @@ def test_prefix_redefinition_changes_later_names():
     }
 
 
-def test_blank_label_seen_again_in_another_graph_is_checked():
+def test_blank_label_seen_again_in_another_graph_is_one_term():
     # two uses in one graph, one in its inference graph, then one in
-    # another module: the last is shared between modules
+    # another module: every use is the same term, and assembly rejects the
+    # node that two modules share
     body = ":m0 { _:x :p :o . _:x :q :o . } :m0-inf { _:x a :A . } :m1 { :s :p _:x . }"
-    with pytest.raises(ParseError, match="shared between graphs") as err:
-        load_dataset(PREAMBLE + body)
-    assert (err.value.line, err.value.column) == (7, body.rindex("_:x") + 1)
+    d = load_dataset(PREAMBLE + body)
+    x = blank("x")
+    assert [q.g for q in d if x in (q.s, q.o)] == [
+        gen("m0"), gen("m0"), gen("m0-inf"), gen("m1")
+    ]
+    with pytest.raises(AssemblyError) as err:
+        assemble_repository(d)
+    assert str(err.value) == (
+        f"blank node _:x is in graphs {gen('m0')!r} and {gen('m1')!r}; "
+        "modules may not share blank nodes"
+    )
 
 
 def test_writer_compares_terms_by_value():
