@@ -148,21 +148,11 @@ def write_csv(records: Iterable[BenchRecord], path: str | Path) -> None:
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
-    """Least-squares line fit: (slope, intercept, r_squared)."""
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two points")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    if sxx == 0:
-        raise ValueError("degenerate fit: all x values equal")
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    """Least-squares line fit: (slope, intercept, r_squared), r_squared 1
+    for a constant y.  A ``ValueError`` for fewer than two points or a
+    constant x."""
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r2 = 1.0 if len(set(ys)) == 1 else statistics.correlation(xs, ys) ** 2
     return slope, intercept, r2
 
 

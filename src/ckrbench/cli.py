@@ -73,7 +73,13 @@ def _assemble(path: str) -> CkrRepository:
     return repo
 
 
+def _check_timeout(args: argparse.Namespace) -> None:
+    if args.timeout_ms < 0:
+        raise UsageError(f"--timeout-ms must not be negative, not {args.timeout_ms}")
+
+
 def cmd_closure(args: argparse.Namespace) -> int:
+    _check_timeout(args)
     repo = _assemble(args.input)
     regime = instantiate_ruleset(args.regime)
     result = compute_closure(repo, regime, args.timeout_ms)
@@ -107,6 +113,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    _check_timeout(args)
     repo = _assemble(args.input)
     regime = instantiate_ruleset(args.regime)
     s, o = _resolve(args.subject), _resolve(args.object)
@@ -150,6 +157,8 @@ def _suite_files(args: argparse.Namespace):
 
 
 def cmd_gen_suite(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, not {args.seeds}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
@@ -173,6 +182,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown regime id {r!r}; choose from {choices}")
     if args.runs < 1:
         raise UsageError(f"--runs must be at least 1, not {args.runs}")
+    _check_timeout(args)
     records = bench_suite(
         args.suite_dir,
         regimes,

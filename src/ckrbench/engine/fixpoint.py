@@ -26,16 +26,19 @@ the round and dropped with it at the barrier.  A probe whose key binds every
 position of its atom is a membership test on the fact set itself, in the
 store and in the delta.
 
-Plans and merges run as generated Python.  A plan becomes one function of
-nested loops over plain locals, one per binding slot: it unpacks each fact,
-probes each step with a literal key tuple and builds the head tuple inline.
-Its source depends only on the plan's shape (which slot each atom binds,
-checks or keys on, and the head's slots); the rule's constant ids come in as
-an argument.  Each relation's set of store indexes gets one appender that
-adds a fact to the fact set and to every index.  Both are compiled on first
-use through one process-wide cache keyed by shape, so every closure of a
-process shares them.  Generated source holds only slot numbers, argument
-positions and fixed names: no term text and no user string.
+Plans, index builds and merges run as generated Python.  A plan becomes one
+function of nested loops over plain locals, one per binding slot: it unpacks
+each fact, probes each step with a literal key tuple and builds the head
+tuple inline.  Its source depends only on the plan's shape (which slot each
+atom binds, checks or keys on, and the head's slots); the rule's constant
+ids come in as an argument.  Index builds and merges run one generated
+appender, the only code that writes an index entry: a merge adds each fact
+to its relation's fact set and to every index of the relation, and an
+index's first build runs the variant that fills that one index from the
+facts already held.  Joins and appenders are compiled on first use through
+one process-wide cache keyed by shape, so every closure of a process shares
+them.  Generated source holds only slot numbers, argument positions and
+fixed names: no term text and no user string.
 
 A ``Budget`` is ticked once per driver fact and once per head in joins,
 once per fact in index builds and in the round barrier, and read at the
@@ -50,7 +53,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ckrbench.errors import BudgetExceeded
@@ -73,7 +75,8 @@ class FactStore:
 
     def __init__(self, rels: dict[str, set[IntFact]] | None = None) -> None:
         self.rels: dict[str, set[IntFact]] = {} if rels is None else rels
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
+        # rel -> key positions -> index
+        self._indexes: dict[str, dict[tuple[int, ...], dict]] = {}
         # rel -> its generated appender, bound to its fact set and indexes
         self._appenders: dict[str, Callable[[Iterable[IntFact]], None]] = {}
 
@@ -89,51 +92,29 @@ class FactStore:
 
     def merge(self, relation: str, facts: Iterable[IntFact]) -> None:
         """Add and index ``facts``, none of which the store holds yet."""
-        self._appender(relation)(facts)
-
-    def _appender(self, relation: str) -> Callable[[Iterable[IntFact]], None]:
         append = self._appenders.get(relation)
         if append is None:
-            indexed = [(pos, ix) for (rel, pos), ix in self._indexes.items() if rel == relation]
-            code = _generated(_APPENDERS, _appender_source, tuple(pos for pos, _ in indexed))
-            append = partial(code, self.facts(relation), *(ix for _, ix in indexed))
+            indexes = self._indexes.get(relation, {})
+            code = _generated(_APPENDERS, _appender_source, (True, tuple(indexes)))
+            append = partial(code, self.facts(relation), *indexes.values())
             self._appenders[relation] = append
-        return append
-
-    def get_index(
-        self, relation: str, positions: tuple[int, ...], budget: Budget
-    ) -> dict[tuple, list[IntFact]]:
-        index = self._indexes.get((relation, positions))
-        if index is None:
-            index = _build_index(self.rels.get(relation, ()), positions, budget)
-            self._indexes[relation, positions] = index
-            self._appenders.pop(relation, None)
-        return index
+        append(facts)
 
     def probe(self, step: _JoinStep, budget: Budget) -> set[IntFact] | dict:
         """What ``step`` probes here: the fact set for a full-key step, the
-        index on its key positions otherwise."""
+        index on its key positions otherwise, built on first use."""
         relation, positions, full = step
-        return self.facts(relation) if full else self.get_index(relation, positions, budget)
-
-
-def _build_index(
-    facts, positions: tuple[int, ...], budget: Budget
-) -> dict[tuple, list[IntFact]]:
-    if len(positions) > 1:
-        key_of = itemgetter(*positions)  # builds the key tuple in C
-    else:
-        (p,) = positions
-        key_of = lambda fact: (fact[p],)
-    index: dict[tuple, list[IntFact]] = {}
-    for fact in budget.ticks(facts):
-        key = key_of(fact)
-        hit = index.get(key)
-        if hit is None:
-            index[key] = [fact]
-        else:
-            hit.append(fact)
-    return index
+        if full:
+            return self.facts(relation)
+        indexes = self._indexes.setdefault(relation, {})
+        index = indexes.get(positions)
+        if index is None:
+            index = {}
+            build = _generated(_APPENDERS, _appender_source, (False, (positions,)))
+            build(index, budget.ticks(self.rels.get(relation, ())))
+            indexes[positions] = index
+            self._appenders.pop(relation, None)
+        return index
 
 
 # -- rule compilation -------------------------------------------------------
@@ -348,14 +329,20 @@ def _join_source(shape: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _appender_source(indexes: tuple[tuple[int, ...], ...]) -> str:
-    """``append(bucket, I0, ..., facts)``: add each fact to ``bucket`` and to
-    the store index ``I<k>`` keyed on positions ``indexes[k]``."""
+def _appender_source(shape: tuple) -> str:
+    """``append([bucket,] I0, ..., facts)`` for ``shape = (into_bucket,
+    indexes)``: add each fact to the index ``I<k>`` keyed on positions
+    ``indexes[k]`` and, if ``into_bucket``, to ``bucket``."""
+    into_bucket, indexes = shape
     names = [f"I{k}" for k in range(len(indexes))]
-    lines = [f"def append({', '.join(['bucket', *names, 'facts'])}):"]
+    lines = [f"def append({', '.join(['bucket'] * into_bucket + names + ['facts'])}):"]
     if not indexes:
         return lines[0] + "\n    bucket.update(facts)\n"
-    lines += ["    add = bucket.add", "    for f in facts:", "        add(f)"]
+    if into_bucket:
+        lines.append("    add = bucket.add")
+    lines.append("    for f in facts:")
+    if into_bucket:
+        lines.append("        add(f)")
     for name, positions in zip(names, indexes):
         lines += [
             f"        k = {_tuple_source(f'f[{p}]' for p in positions)}",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import MISSING, dataclass, fields
+from typing import Callable
 
 from ckrbench.errors import GeneratorError
 from ckrbench.model import axioms as ax
@@ -255,7 +256,6 @@ def _draw_distinct(
 class GeneratedCkr:
     """In-memory form of one generated repository."""
 
-    params: GenParams
     structure: list[Axiom]  # context declarations and module links
     global_axioms: list[Axiom]
     modules: list[tuple[Term, Term, list[Axiom]]]  # (context, module, axioms)
@@ -333,7 +333,7 @@ def generate_ckr_axioms(params: GenParams) -> GeneratedCkr:
     modules = [
         (context_term(i), module_term(i), module_axioms[i]) for i in range(n)
     ]
-    return GeneratedCkr(params, structure, global_axioms, modules)
+    return GeneratedCkr(structure, global_axioms, modules)
 
 
 def encode_generated(gen: GeneratedCkr) -> Dataset:
@@ -404,35 +404,37 @@ def _ring_structure(n: int) -> list[Axiom]:
     return out
 
 
-def build_ts2(n: int, k: int, inst_per_context: int) -> Dataset:
-    """Eval-connected ring: context i imports D0 from its k successors."""
+def _ring(n: int, k: int, module_axioms: Callable[[int], list[Axiom]]) -> Dataset:
+    """The ring of contexts 0..n-1 with k connections each, whose module i
+    holds ``module_axioms(i)``."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"connections must satisfy 0 <= k <= n-1, got k={k}, n={n}")
-    dataset = Dataset()
-    encode_axioms(dataset, GLOBAL_GRAPH, _ring_structure(n), BlankMinter("g"))
+    modules = [(context_term(i), module_term(i), module_axioms(i)) for i in range(n)]
+    return encode_generated(GeneratedCkr(_ring_structure(n), [], modules))
+
+
+def build_ts2(n: int, k: int, inst_per_context: int) -> Dataset:
+    """Eval-connected ring: context i imports D0 from its k successors."""
     d0, d1 = propagated_concept(), target_concept()
-    for i in range(n):
-        axioms = [
+
+    def module_axioms(i: int) -> list[Axiom]:
+        return [
             axiom(ax.CONCEPT_ASSERT, d0, ts_individual(i, j))
             for j in range(inst_per_context)
-        ]
-        axioms += [
+        ] + [
             axiom(ax.EVAL_SUB_CLASS, d0, context_term((i + t) % n), d1, nominal_ctx=True)
             for t in range(1, k + 1)
         ]
-        encode_axioms(dataset, module_term(i), axioms, BlankMinter(f"m{i}x"))
-    return dataset
+
+    return _ring(n, k, module_axioms)
 
 
 def build_ts3(n: int, k: int, inst_per_context: int) -> Dataset:
     """Connection-free counterpart of ts2: one D0 copy per source context,
     subclass axioms instead of eval, instances re-asserted in every importer."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"connections must satisfy 0 <= k <= n-1, got k={k}, n={n}")
-    dataset = Dataset()
-    encode_axioms(dataset, GLOBAL_GRAPH, _ring_structure(n), BlankMinter("g"))
     d1 = target_concept()
-    for i in range(n):
+
+    def module_axioms(i: int) -> list[Axiom]:
         axioms = [
             axiom(ax.CONCEPT_ASSERT, propagated_concept(i), ts_individual(i, j))
             for j in range(inst_per_context)
@@ -444,8 +446,9 @@ def build_ts3(n: int, k: int, inst_per_context: int) -> Dataset:
                 axiom(ax.CONCEPT_ASSERT, propagated_concept(j), ts_individual(j, m))
                 for m in range(inst_per_context)
             ]
-        encode_axioms(dataset, module_term(i), axioms, BlankMinter(f"m{i}x"))
-    return dataset
+        return axioms
+
+    return _ring(n, k, module_axioms)
 
 
 #: Connection sweeps: ts2/ts3 at desk scale and at full scale

@@ -18,8 +18,8 @@ global knowledge.
 
 The writer is deterministic and the one place that orders RDF: fixed prefix
 header, graphs/subjects/objects in ``Term`` order, blank labels as they
-are.  Equal datasets serialize to byte-identical documents, whatever the
-order their quads and graphs were inserted in.
+are.  Datasets with the same graphs and quads serialize to byte-identical
+documents, whatever the order their quads and graphs were inserted in.
 """
 from __future__ import annotations
 

@@ -140,6 +140,21 @@ def test_linear_fit_on_exact_line():
     assert r2 == pytest.approx(1.0)
 
 
+def test_linear_fit_of_a_constant_y_is_exact():
+    slope, intercept, r2 = linear_fit([1, 2, 3], [0.1, 0.1, 0.1])
+    assert (slope, intercept, r2) == (pytest.approx(0.0), pytest.approx(0.1), 1.0)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [([], []), ([4.0], [2.0]), ([3, 3, 3], [1, 2, 3])],
+    ids=["no-points", "one-point", "constant-x"],
+)
+def test_linear_fit_without_a_line_is_a_value_error(xs, ys):
+    with pytest.raises(ValueError):
+        linear_fit(xs, ys)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -472,10 +487,33 @@ def test_cli_non_utf8_input_is_a_parse_error(tmp_path, caplog):
 
 @pytest.mark.parametrize(
     "options",
-    [["--regimes", "nope"], ["--regimes", ","], ["--runs", "0"]],
-    ids=["unknown-regime", "no-regime", "no-runs"],
+    [["--regimes", "nope"], ["--regimes", ","], ["--runs", "0"], ["--timeout-ms", "-1"]],
+    ids=["unknown-regime", "no-regime", "no-runs", "negative-timeout"],
 )
 def test_cli_bench_bad_options_are_usage_errors(ts2_dir, tmp_path, options):
     out = tmp_path / "bench.csv"
     assert main(["bench", str(ts2_dir), "--csv", str(out), *options]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen-suite", "ts1", "--seeds", "0"],
+        ["gen-suite", "ts2", "--seeds", "-2"],
+        ["closure", "{input}", "--timeout-ms", "-5", "--out", "{out}"],
+        ["check", "{input}", ":c0", ":x1_0", "a", ":D1", "--timeout-ms", "-1"],
+    ],
+    ids=["no-seeds", "negative-seeds", "negative-closure-timeout", "negative-check-timeout"],
+)
+def test_cli_out_of_range_counts_and_budgets_are_usage_errors(
+    ts2_dir, tmp_path, caplog, capsys, command
+):
+    out = tmp_path / "out"
+    argv = [arg.format(input=ts2_dir / "ts2-n10-k1.trig", out=out) for arg in command]
+    if argv[0] == "gen-suite":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 2
+    assert "must" in caplog.text
+    assert not out.exists()
+    assert capsys.readouterr().out == ""

@@ -317,6 +317,42 @@ def test_budget_stops_a_long_round_barrier(monkeypatch):
     assert sum(1 for f in store.facts("inst") if f[1] == b) == merged
 
 
+@pytest.mark.parametrize("positions", [(1,), (0, 2)], ids=["one-position", "two-position"])
+@pytest.mark.parametrize("delta", [False, True], ids=["store", "delta-store"])
+def test_an_index_extended_by_merges_equals_one_built_after_them(positions, delta):
+    # The store is seeded by merges; a round's delta store is made from its
+    # fact sets, as at the barrier.  Either way, an index built before a run
+    # of merges and extended by them holds what one built after them holds.
+    rng = random.Random(7)
+    facts = list({tuple(rng.randrange(8) for _ in range(3)) for _ in range(300)})
+    first, runs = facts[:40], [facts[40:100], facts[100:101], facts[101:]]
+    step = fixpoint._JoinStep("triple", positions, False)
+
+    def seeded():
+        if delta:
+            return FactStore({"triple": set(first)})
+        store = FactStore()
+        store.merge("triple", first)
+        return store
+
+    early, late, budget = seeded(), seeded(), Budget()
+    index = early.probe(step, budget)
+    assert budget.spent == len(first)  # one tick per fact indexed
+    for run in runs:
+        early.merge("triple", run)
+        late.merge("triple", run)
+    assert early.probe(step, budget) is index
+    built = late.probe(step, budget)
+    assert budget.spent == len(first) + len(facts)
+
+    def content(ix):
+        return {key: sorted(hit) for key, hit in ix.items()}
+
+    assert content(index) == content(built)
+    assert sorted(f for hit in built.values() for f in hit) == sorted(facts)
+    assert all(key == tuple(f[p] for p in positions) for key, hit in built.items() for f in hit)
+
+
 def test_generated_joins_are_shared_by_shape(monkeypatch):
     # Two term tables intern the eval rules' constant (the global context)
     # first and last, so the rules carry different constant ids; the
